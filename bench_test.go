@@ -219,8 +219,9 @@ func BenchmarkFig17InputWeights(b *testing.B) {
 }
 
 // BenchmarkFleetStep measures one fleet run of the done-heavy scaling
-// scenario (64 boards, half finishing early) per engine. The lockstep
-// sub-benchmark pays a worker-pool barrier every control interval; the event
+// scenario (64 boards, half finishing early) on core.FleetRun (event) and on
+// its reference core.FleetRunLockstep (lockstep). The lockstep sub-benchmark
+// pays a worker-pool barrier every control interval; the event
 // sub-benchmark pays one per reallocation epoch and drops finished boards
 // off the clock. Both produce identical simulation results — the CI smoke
 // job runs this at -benchtime 1x to catch engine wall-clock regressions,

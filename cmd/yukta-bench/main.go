@@ -33,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 
-	"yukta/internal/core"
 	"yukta/internal/exp"
 	"yukta/internal/obs"
 )
@@ -60,20 +59,14 @@ func main() {
 		fleetN    = flag.Int("fleet", 0, "run the fleet sweep with this many boards under a shared power budget (0 = off); with -faults the sweep also covers the fault classes")
 		fleetPol  = flag.String("fleetpolicy", "all", "fleet budget policy: equal, feedback or all")
 		fleetBW   = flag.Float64("fleetbudget", exp.DefaultFleetBoardBudgetW, "per-board share of the shared fleet power budget, in watts")
-		engine    = flag.String("engine", "", "simulation engine: event (default) or lockstep; both are byte-identical in results and traces")
 		fleetScl  = flag.String("fleetscale", "", "run the engine scaling-curve benchmark over these comma-separated fleet sizes (e.g. 64,256)")
 		benchOut  = flag.String("benchout", "", "write the scaling-curve benchmark report as JSON to this file")
 		sclGuard  = flag.Bool("scaleguard", false, "fail unless the event engine beats lockstep at the largest -fleetscale size (regression gate)")
-		fleetTopo = flag.String("fleet-topo", "", "coordinator topology for -fleet sweeps and -topoguard (fleet.ParseTopology grammar, e.g. 32x32 or root=a,b;a=4;b=4); empty = flat")
+		fleetTopo = flag.String("fleet-topo", "", "coordinator topology for -fleet sweeps and -topoguard (fleet.ParseTopology grammar, e.g. 32x32 or root=a,b;a=4;b=4); empty = one coordinator over every board")
 		sclDepths = flag.String("scaledepths", "", "with -fleetscale, also measure balanced coordinator trees at these comma-separated depths (e.g. 1,2,3)")
 		topoGuard = flag.String("topoguard", "", "committed scaling report JSON (BENCH_evloop.json): re-run the -fleet-topo scenario and fail if it diverges from the committed tree point")
 	)
 	flag.Parse()
-
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *traceChk != "" {
 		if err := checkTraces(*traceChk); err != nil {
@@ -153,7 +146,6 @@ func main() {
 		Metrics:      *metrics,
 		FleetBudgetW: *fleetBW,
 		FleetTopo:    *fleetTopo,
-		Engine:       eng,
 	})
 	if err != nil {
 		fatal(err)

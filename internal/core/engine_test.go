@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"yukta/internal/board"
 	"yukta/internal/fault"
 	"yukta/internal/fleet"
 	"yukta/internal/obs"
@@ -30,10 +31,10 @@ func equivClasses() []string {
 	return append([]string{"clean"}, fault.ClassNames()...)
 }
 
-// soloFingerprint executes one solo run on the given engine and returns its
-// full observable output: the per-interval JSONL trace followed by every
-// scalar of the result.
-func soloFingerprint(t *testing.T, p *Platform, sch Scheme, class string, eng Engine) []byte {
+// soloFingerprint executes one solo run and returns its full observable
+// output: the per-interval JSONL trace followed by every scalar of the
+// result.
+func soloFingerprint(t *testing.T, p *Platform, sch Scheme, class string) []byte {
 	t.Helper()
 	w, err := workload.Lookup("gamess")
 	if err != nil {
@@ -44,7 +45,6 @@ func soloFingerprint(t *testing.T, p *Platform, sch Scheme, class string, eng En
 		MaxTime:    20 * time.Second,
 		SkipSeries: true,
 		Trace:      rec,
-		Engine:     eng,
 	}
 	if class != "clean" {
 		opt.Faults = fault.PresetClass(7, 1.0, class)
@@ -65,22 +65,32 @@ func soloFingerprint(t *testing.T, p *Platform, sch Scheme, class string, eng En
 	return buf.Bytes()
 }
 
-// fleetFingerprint executes one fleet run on the given engine and returns
-// the fleet JSONL trace, every per-board JSONL trace, and every scalar of
-// the result.
-func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string, n int, eng Engine) []byte {
-	t.Helper()
-	members := fleetTestMembers(t, p, n, sch)
+// fleetRunner is the signature FleetRun and its reference FleetRunLockstep
+// share; the equivalence tests run the same options through both.
+type fleetRunner func(cfg board.Config, members []FleetMember, opt FleetOptions) (*FleetResult, error)
+
+// feedbackPolicy is the TreePolicy factory the equivalence tests use.
+func feedbackPolicy() fleet.Policy {
 	pol, err := fleet.NewPolicy("feedback")
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
+	return pol
+}
+
+// fleetFingerprint executes one fleet run with the given runner under the
+// given topology (nil: the default one-level tree) and returns the fleet
+// JSONL trace, every per-board JSONL trace, and every scalar of the result.
+func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string,
+	n int, topo *fleet.Topology, run fleetRunner) []byte {
+	t.Helper()
+	members := fleetTestMembers(t, p, n, sch)
 	opt := FleetOptions{
 		Budget:      fleet.Budget{TotalW: 2.2 * float64(n), MinW: 1.0, MaxW: 4.5},
-		Policy:      pol,
+		Topology:    topo,
+		TreePolicy:  feedbackPolicy,
 		MaxTime:     30 * time.Second,
 		Parallelism: 4,
-		Engine:      eng,
 	}
 	if class != "clean" {
 		opt.Faults = fault.PresetClass(7, 1.0, class)
@@ -91,16 +101,23 @@ func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string, n int
 		boardRecs[i] = obs.NewRecorder(0)
 	}
 	opt.BoardTraces = boardRecs
-	res, err := FleetRun(p.Cfg, members, opt)
+	res, err := run(p.Cfg, members, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if topo != nil && (res.Topology != topo.Spec || res.Nodes != len(topo.Nodes) || res.Depth != topo.Depth) {
+		t.Fatalf("tree result metadata %q/%d/%d, want %q/%d/%d",
+			res.Topology, res.Nodes, res.Depth, topo.Spec, len(topo.Nodes), topo.Depth)
+	}
+	if res.NodeReallocations < res.Reallocations {
+		t.Fatalf("node reallocations %d < realloc instants %d", res.NodeReallocations, res.Reallocations)
 	}
 	return fingerprintFleetOutput(t, opt.Trace, boardRecs, res)
 }
 
 // fingerprintFleetOutput serializes a fleet run's observable output — the
-// fleet trace, every per-board trace, and the result scalars shared by flat
-// and hierarchical runs — for byte-level comparison.
+// fleet trace, every per-board trace, and the result scalars that do not
+// name the topology spec — for byte-level comparison.
 func fingerprintFleetOutput(t *testing.T, trace *obs.FleetRecorder,
 	boardRecs []*obs.Recorder, res *FleetResult) []byte {
 	t.Helper()
@@ -150,11 +167,11 @@ func diffFingerprints(t *testing.T, name string, lock, ev []byte) {
 }
 
 // TestEngineEquivalence is the cross-engine property test: for every scheme ×
-// fault class (clean plus every isolated class) × topology (solo, fleet
-// N∈{1,4,16}), the lockstep and event engines must produce byte-identical
-// observable output — every JSONL trace record and every result scalar. CI
-// runs it under -race, so it also exercises the event engine's batch
-// parallelism for races.
+// fault class (clean plus every isolated class) × fleet size N∈{1,4,16},
+// FleetRun and its lockstep reference FleetRunLockstep must produce
+// byte-identical observable output — every JSONL trace record and every
+// result scalar. CI runs it under -race, so it also exercises the event
+// engine's batch parallelism for races.
 func TestEngineEquivalence(t *testing.T) {
 	p := testPlatform(t)
 	fleetNs := []int{1, 4, 16}
@@ -162,12 +179,6 @@ func TestEngineEquivalence(t *testing.T) {
 		for ci, class := range equivClasses() {
 			t.Run(sch.Name+"/"+class, func(t *testing.T) {
 				t.Parallel()
-				lock := soloFingerprint(t, p, sch, class, EngineLockstep)
-				ev := soloFingerprint(t, p, sch, class, EngineEvent)
-				if len(lock) == 0 {
-					t.Fatal("empty solo fingerprint")
-				}
-				diffFingerprints(t, "solo", lock, ev)
 				ns := fleetNs
 				if testing.Short() {
 					// Rotate one fleet size per cell in -short mode; the
@@ -175,8 +186,8 @@ func TestEngineEquivalence(t *testing.T) {
 					ns = fleetNs[ci%3 : ci%3+1]
 				}
 				for _, n := range ns {
-					lock := fleetFingerprint(t, p, sch, class, n, EngineLockstep)
-					ev := fleetFingerprint(t, p, sch, class, n, EngineEvent)
+					lock := fleetFingerprint(t, p, sch, class, n, nil, FleetRunLockstep)
+					ev := fleetFingerprint(t, p, sch, class, n, nil, FleetRun)
 					if len(lock) == 0 {
 						t.Fatalf("empty fleet fingerprint at N=%d", n)
 					}
@@ -184,22 +195,5 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestParseEngine pins the -engine flag surface: the zero value selects the
-// event engine, both names round-trip, junk is rejected.
-func TestParseEngine(t *testing.T) {
-	if eng, err := ParseEngine(""); err != nil || eng != EngineEvent {
-		t.Fatalf("ParseEngine(\"\") = %v, %v", eng, err)
-	}
-	if eng, err := ParseEngine("event"); err != nil || eng != EngineEvent {
-		t.Fatalf("ParseEngine(event) = %v, %v", eng, err)
-	}
-	if eng, err := ParseEngine("lockstep"); err != nil || eng != EngineLockstep {
-		t.Fatalf("ParseEngine(lockstep) = %v, %v", eng, err)
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
 	}
 }

@@ -8,6 +8,17 @@ import (
 	"yukta/internal/sched"
 )
 
+// Event kinds of the fleet's discrete-event engine, in execution order
+// within one instant: coordinator work (budget reallocation) strictly
+// precedes the board wakes it influences, and board wakes at the same
+// instant order by board index. This ordering is what makes the event
+// engine a drop-in replacement for the lockstep loop's "reallocate, then
+// step every board" interval structure.
+const (
+	evRealloc int8 = iota
+	evWake
+)
+
 // runEvent is the fleet's discrete-event engine. Boards interact only
 // through their power caps, and caps change only at reallocation points —
 // every ReallocEvery intervals — so the reallocation barrier is the sole
@@ -21,30 +32,24 @@ import (
 // per-interval scan over all n boards are gone. A finished board schedules
 // nothing and falls out of the clock entirely.
 //
-// Byte-identity with runLockstep holds because nothing observable moves:
-// stepBoard is the shared interval body (fault RNG, physics, controller,
-// per-board trace), realloc is the shared coordinator body and fires at the
-// same instants with boards in the same states, and the fleet trace is
-// reconstructed per interval from samples latched during the batches (see
-// flushEpoch). The golden suite and TestEngineEquivalence pin this.
+// Byte-identity with runLockstep (FleetRunLockstep) holds because nothing
+// observable moves: stepBoard is the shared interval body (fault RNG,
+// physics, controller, per-board trace), realloc is the shared
+// coordinator body and fires at the same instants with boards in the same
+// states, and the fleet trace is reconstructed per interval from samples
+// latched during the batches (see flushEpoch). The golden suite and
+// TestEngineEquivalence pin this.
 func (f *fleetRun) runEvent() error {
 	if f.maxSteps <= 0 {
 		return nil
 	}
-	nodes := 1
-	if f.tree != nil {
-		nodes = len(f.tree.Nodes)
-	}
+	nodes := len(f.tree.Nodes)
 	h := sched.NewHeap(f.n + nodes)
-	if f.tree != nil {
-		// One reallocation event per tree node, each on its own cadence.
-		// Event IDs are preorder node indices, so simultaneous events pop
-		// parent-first and the due list reaches Tree.Realloc in preorder.
-		for i := range f.tree.Nodes {
-			h.Push(sched.Event{Time: 0, Kind: evRealloc, ID: int32(i)})
-		}
-	} else {
-		h.Push(sched.Event{Time: 0, Kind: evRealloc})
+	// One reallocation event per tree node, each on its own cadence. Event
+	// IDs are preorder node indices, so simultaneous events pop parent-first
+	// and the due list reaches Tree.Realloc in preorder.
+	for i := range f.tree.Nodes {
+		h.Push(sched.Event{Time: 0, Kind: evRealloc, ID: int32(i)})
 	}
 	for _, fb := range f.boards {
 		fb.wokeEpoch = -1
@@ -59,8 +64,8 @@ func (f *fleetRun) runEvent() error {
 	ready := make([]*fleetBoard, 0, f.n)
 
 	for h.Len() > 0 {
-		// Lockstep stops stepping the instant the last board finishes; a
-		// tree run can still hold future realloc events for slow-cadence
+		// Lockstep stops stepping the instant the last board finishes; the
+		// heap can still hold future realloc events for slow-cadence
 		// coordinators, which must not fire on an empty fleet.
 		if f.live.Load() == 0 {
 			break
@@ -71,18 +76,12 @@ func (f *fleetRun) runEvent() error {
 		if barrier > f.maxSteps {
 			barrier = f.maxSteps
 		}
-		reallocFired := false
 		ready = ready[:0]
 		f.due = f.due[:0]
 		for _, e := range batch {
 			switch e.Kind {
 			case evRealloc:
-				if f.tree != nil {
-					f.due = append(f.due, int(e.ID))
-				} else {
-					f.realloc()
-					reallocFired = true
-				}
+				f.due = append(f.due, int(e.ID))
 			case evWake:
 				fb := f.boards[e.ID]
 				if !fb.done {
@@ -91,9 +90,9 @@ func (f *fleetRun) runEvent() error {
 				}
 			}
 		}
-		if len(f.due) > 0 {
-			f.reallocTree()
-			reallocFired = true
+		reallocFired := len(f.due) > 0
+		if reallocFired {
+			f.realloc()
 		}
 		if len(ready) == 0 {
 			continue
@@ -118,17 +117,13 @@ func (f *fleetRun) runEvent() error {
 			f.flushEpoch(t, epochSteps, reallocFired)
 		}
 		if f.live.Load() > 0 {
-			if f.tree != nil {
-				// Each node that fired reschedules on its own period; the
-				// others' events are still pending in the heap.
-				for _, i := range f.due {
-					next := t + f.tree.Nodes[i].Period
-					if next < f.maxSteps {
-						h.Push(sched.Event{Time: next, Kind: evRealloc, ID: int32(i)})
-					}
+			// Each node that fired reschedules on its own period; the
+			// others' events are still pending in the heap.
+			for _, i := range f.due {
+				next := t + f.tree.Nodes[i].Period
+				if next < f.maxSteps {
+					h.Push(sched.Event{Time: next, Kind: evRealloc, ID: int32(i)})
 				}
-			} else if barrier < f.maxSteps {
-				h.Push(sched.Event{Time: barrier, Kind: evRealloc})
 			}
 			if barrier < f.maxSteps {
 				for _, fb := range f.boards {
@@ -173,11 +168,6 @@ func (f *fleetRun) runBatch(fb *fleetBoard, start, barrier int) {
 //     recorded as Done, contributing only its cap share, like in lockstep.
 func (f *fleetRun) flushEpoch(t, epochSteps int, reallocFired bool) {
 	for j := 0; j < epochSteps; j++ {
-		if f.tree == nil {
-			f.opt.Trace.Add(f.epochRecord(t, j, 0, f.n, f.opt.Budget.TotalW, "",
-				j == 0 && reallocFired))
-			continue
-		}
 		// One record per tree node, preorder (root first, node path ""),
 		// exactly as the lockstep engine's traceStep writes them. Budgets
 		// and caps changed only at the epoch start, so reading them at the

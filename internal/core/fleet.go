@@ -32,20 +32,17 @@ type FleetOptions struct {
 	// Budget is the shared fleet power budget and per-board bounds. FleetRun
 	// validates feasibility: TotalW must cover MinW for every board.
 	Budget fleet.Budget
-	// Policy divides the budget across boards at reallocation points. It is
-	// invoked from the coordination goroutine only, so stateful policies
-	// need no locking. Required for flat runs (Topology nil); ignored for
-	// hierarchical runs, which use TreePolicy.
-	Policy fleet.Policy
-	// Topology, when non-nil, runs the fleet hierarchically: a tree of
-	// coordinators each re-dividing its incoming budget over its children
-	// (leaves over their boards) with its own policy instance, higher
-	// levels on slower cadences. Topology.Boards must equal the member
-	// count. A one-level topology is proven byte-identical to the flat
-	// path (results, fault streams, fleet and board traces).
+	// Topology is the coordinator tree: every node re-divides its incoming
+	// budget over its children (leaves over their boards) with its own
+	// policy instance, higher levels on slower cadences. Topology.Boards
+	// must equal the member count. Nil runs the one-level tree
+	// fleet.Uniform(n, 1): a single coordinator dividing the whole budget
+	// over every board.
 	Topology *fleet.Topology
-	// TreePolicy constructs one budget policy per tree node. Required when
-	// Topology is set (stateful policies must not be shared across nodes).
+	// TreePolicy constructs one budget policy per tree node (stateful
+	// policies must not be shared across nodes). Required. Policies are
+	// invoked from the coordination goroutine only, so they need no
+	// locking.
 	TreePolicy func() fleet.Policy
 	// CadenceFactor is the per-level reallocation slowdown for hierarchical
 	// runs: a node at height h reallocates every ReallocEvery ×
@@ -66,10 +63,10 @@ type FleetOptions struct {
 	// to the solo run of the same (scheme, app) for common-random-numbers
 	// pairing, and every other board draws an independent stream.
 	Faults fault.Plan
-	// Parallelism is the worker count for per-interval board stepping (the
-	// PR-1 pool, fanned out inside each lockstep interval). 0 or 1 steps
-	// boards sequentially. Results and traces are byte-identical at any
-	// setting.
+	// Parallelism is the worker count for board stepping: each
+	// reallocation epoch's live boards fan out over the worker pool. 0 or 1
+	// steps boards sequentially. Results and traces are byte-identical at
+	// any setting.
 	Parallelism int
 	// Trace, when non-nil, receives one obs.FleetRecord per control
 	// interval from the coordination layer.
@@ -81,10 +78,6 @@ type FleetOptions struct {
 	// Metrics, when non-nil, aggregates the run into the registry (pool
 	// occupancy, per-scheme step latency, run/fault counters).
 	Metrics *obs.Registry
-	// Engine selects the simulation core ("" = EngineEvent). Results, the
-	// fleet trace and every per-board trace are byte-identical across
-	// engines; EngineLockstep remains the executable reference.
-	Engine Engine
 }
 
 // FleetBoardResult is one board's outcome within a fleet run.
@@ -126,18 +119,20 @@ type FleetResult struct {
 	GeoExD float64
 
 	// Reallocations counts reallocation instants (coordinator invocations);
-	// Steps counts lockstep control intervals executed.
+	// Steps counts control intervals on the shared clock (an interval
+	// counts once if any board executed it).
 	Reallocations int
 	Steps         int
 
-	// Topology is the coordinator tree spec of a hierarchical run ("" for
-	// flat); Nodes and Depth its coordinator count and level count.
+	// Topology is the spec of the coordinator tree the run used
+	// ("uniform:<n>d1" when FleetOptions.Topology was nil); Nodes and Depth
+	// its coordinator count and level count.
 	Topology string
 	Nodes    int
 	Depth    int
-	// NodeReallocations counts per-node policy invocations across the tree
-	// (0 for flat runs). Higher levels fire less often, so it grows slower
-	// than Reallocations × Nodes.
+	// NodeReallocations counts per-node policy invocations across the tree.
+	// Higher levels fire less often, so it grows slower than Reallocations
+	// × Nodes.
 	NodeReallocations int
 }
 
@@ -165,12 +160,12 @@ type fleetBoard struct {
 	lat        *obs.Histogram
 	trace      *obs.Recorder
 
-	// Event-engine batch state: the epoch the board last woke in, how many
-	// intervals it executed before finishing or hitting the barrier, and —
-	// when a fleet trace is attached — the per-interval samples the
-	// coordinator folds into FleetRecords at the flush (the board runs an
-	// epoch ahead of the fleet trace, so the per-interval view must be
-	// latched, not re-read from live board state).
+	// Batch state: the epoch the board last woke in, how many intervals it
+	// executed before finishing or hitting the barrier, and — when a fleet
+	// trace is attached — the per-interval samples the coordinator folds
+	// into FleetRecords at the flush (the board runs an epoch ahead of the
+	// fleet trace, so the per-interval view must be latched, not re-read
+	// from live board state).
 	epochStart int
 	batchLen   int
 	wokeEpoch  int
@@ -178,48 +173,71 @@ type fleetBoard struct {
 }
 
 // fleetSample is one live board-interval's contribution to the fleet trace,
-// latched during an event-engine batch.
+// latched during a batch.
 type fleetSample struct {
 	bigW, littleW   float64
 	bips            float64
 	budgetThrottled bool
 }
 
-// FleetRun simulates len(members) boards advancing in lockstep under the
-// shared power budget: every ReallocEvery intervals the policy re-divides
-// the budget and each board's cap is actuated via board.SetPowerCapW; every
-// interval the boards step concurrently on the worker pool, each running its
-// own scheme unchanged. The run ends when every workload completes or
-// MaxTime elapses.
+// FleetRun simulates len(members) boards under the shared power budget on
+// the discrete-event engine (see runEvent): each tree node re-divides its
+// budget on its own cadence and the resulting caps are actuated via
+// board.SetPowerCapW; between reallocations the live boards step
+// concurrently on the worker pool, each running its own scheme unchanged.
+// The run ends when every workload completes or MaxTime elapses.
 //
 // Determinism contract: results, per-board traces and the fleet trace are
 // byte-identical at any Parallelism — boards own disjoint state, workers
-// write only their own index, and the policy runs on the coordination
-// goroutine between interval barriers.
+// write only their own index, and the policies run on the coordination
+// goroutine between batches — and byte-identical to FleetRunLockstep.
 func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*FleetResult, error) {
+	f, err := newFleetRun(cfg, members, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.runEvent(); err != nil {
+		return nil, err
+	}
+	return f.finalize(members), nil
+}
+
+// FleetRunLockstep is the differential reference for FleetRun: the same
+// setup, interval body and coordinator, but every board is visited on every
+// control interval under a per-interval pool barrier. Its output — result,
+// fleet trace and every per-board trace — must equal FleetRun's byte for
+// byte (TestEngineEquivalence, TestTreeEngineEquivalence); the scaling
+// benchmark times the two against each other. It is not a production path.
+func FleetRunLockstep(cfg board.Config, members []FleetMember, opt FleetOptions) (*FleetResult, error) {
+	f, err := newFleetRun(cfg, members, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.runLockstep(); err != nil {
+		return nil, err
+	}
+	return f.finalize(members), nil
+}
+
+// newFleetRun validates the options, builds the coordinator tree and every
+// board, and returns the run ready for either schedule.
+func newFleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*fleetRun, error) {
 	n := len(members)
 	if n == 0 {
 		return nil, fmt.Errorf("core: fleet run needs at least one member")
 	}
-	if opt.Topology == nil && opt.Policy == nil {
-		return nil, fmt.Errorf("core: fleet run needs a budget policy")
+	if opt.TreePolicy == nil {
+		return nil, fmt.Errorf("core: fleet run needs a TreePolicy factory")
 	}
-	if opt.Topology != nil {
-		if opt.TreePolicy == nil {
-			return nil, fmt.Errorf("core: hierarchical fleet run needs a TreePolicy factory")
-		}
-		if opt.Topology.Boards != n {
-			return nil, fmt.Errorf("core: topology %q covers %d boards for %d members",
-				opt.Topology.Spec, opt.Topology.Boards, n)
+	topo := opt.Topology
+	if topo == nil {
+		var err error
+		if topo, err = fleet.Uniform(n, 1); err != nil {
+			return nil, err
 		}
 	}
-	bud := opt.Budget
-	if bud.TotalW <= 0 || bud.MinW <= 0 || bud.MaxW < bud.MinW {
-		return nil, fmt.Errorf("core: invalid fleet budget %+v", bud)
-	}
-	if bud.TotalW < bud.MinW*float64(n) {
-		return nil, fmt.Errorf("core: fleet budget %.1f W cannot cover the %.1f W floor for %d boards",
-			bud.TotalW, bud.MinW, n)
+	if topo.Boards != n {
+		return nil, fmt.Errorf("core: topology %q covers %d boards for %d members", topo.Spec, topo.Boards, n)
 	}
 	if opt.ReallocEvery <= 0 {
 		opt.ReallocEvery = 10
@@ -233,14 +251,17 @@ func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*Fleet
 	if opt.BoardTraces != nil && len(opt.BoardTraces) != n {
 		return nil, fmt.Errorf("core: BoardTraces has %d entries for %d members", len(opt.BoardTraces), n)
 	}
-
-	eng, err := opt.Engine.resolve()
+	// NewTree validates the budget: positive bounds, and TotalW covering
+	// MinW for every board.
+	tree, err := fleet.NewTree(topo, opt.Budget, opt.ReallocEvery, opt.CadenceFactor, opt.TreePolicy)
 	if err != nil {
 		return nil, err
 	}
 
 	f := &fleetRun{
 		cfg: cfg, opt: &opt, n: n,
+		tree:      tree,
+		due:       make([]int, 0, len(tree.Nodes)),
 		boards:    make([]*fleetBoard, n),
 		caps:      make([]float64, n),
 		tel:       make([]fleet.Telemetry, n),
@@ -249,23 +270,13 @@ func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*Fleet
 		intervalS: opt.Interval.Seconds(),
 		epochLen:  opt.ReallocEvery,
 		res: &FleetResult{
-			BudgetW: bud.TotalW,
-			Boards:  make([]FleetBoardResult, n),
+			Policy:   tree.PolicyName(),
+			BudgetW:  opt.Budget.TotalW,
+			Boards:   make([]FleetBoardResult, n),
+			Topology: topo.Spec,
+			Nodes:    len(tree.Nodes),
+			Depth:    topo.Depth,
 		},
-	}
-	if opt.Topology != nil {
-		tree, err := fleet.NewTree(opt.Topology, bud, opt.ReallocEvery, opt.CadenceFactor, opt.TreePolicy)
-		if err != nil {
-			return nil, err
-		}
-		f.tree = tree
-		f.due = make([]int, 0, len(tree.Nodes))
-		f.res.Policy = tree.PolicyName()
-		f.res.Topology = opt.Topology.Spec
-		f.res.Nodes = len(tree.Nodes)
-		f.res.Depth = opt.Topology.Depth
-	} else {
-		f.res.Policy = opt.Policy.Name()
 	}
 	f.live.Store(int64(n))
 	for i, m := range members {
@@ -275,14 +286,12 @@ func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*Fleet
 		}
 		fb := &fleetBoard{idx: i, sess: sess, w: m.Workload}
 		if opt.Faults.Enabled() {
-			runKey := fault.RunKey(m.Scheme.faultKey(), m.Workload.Name(), i)
-			if f.tree != nil {
-				// Boards key their fault streams by (leaf path, leaf-local
-				// index): collision-free across racks, and reducing to the
-				// flat key — byte-identical streams — in a one-level tree.
-				path, local := f.tree.BoardCoord(i)
-				runKey = fault.RunKeyPath(m.Scheme.faultKey(), m.Workload.Name(), path, local)
-			}
+			// Boards key their fault streams by (leaf path, leaf-local
+			// index): collision-free across racks, and reducing to the
+			// fault.RunKey(scheme, app, i) key in a one-level tree, so board
+			// 0 pairs with the solo run of the same (scheme, app).
+			path, local := tree.BoardCoord(i)
+			runKey := fault.RunKeyPath(m.Scheme.faultKey(), m.Workload.Name(), path, local)
 			fb.inj = opt.Faults.NewInjector(runKey)
 			fb.w = opt.Faults.Disturb(fb.w, runKey)
 		}
@@ -302,21 +311,12 @@ func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*Fleet
 		}
 		f.boards[i] = fb
 	}
-
-	if eng == EngineLockstep {
-		err = f.runLockstep()
-	} else {
-		err = f.runEvent()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return f.finalize(members), nil
+	return f, nil
 }
 
-// fleetRun is the state of one fleet simulation, shared by both engines.
-// The coordination goroutine owns everything except the per-board state a
-// pool worker touches while stepping its own board.
+// fleetRun is the state of one fleet simulation, shared by FleetRun and
+// FleetRunLockstep. The coordination goroutine owns everything except the
+// per-board state a pool worker touches while stepping its own board.
 type fleetRun struct {
 	cfg    board.Config
 	opt    *FleetOptions
@@ -325,8 +325,8 @@ type fleetRun struct {
 	tel    []fleet.Telemetry
 	res    *FleetResult
 
-	// tree is the coordinator hierarchy of a hierarchical run (nil for
-	// flat); due is its reusable due-node scratch buffer.
+	// tree is the coordinator hierarchy; due is its reusable due-node
+	// scratch buffer.
 	tree *fleet.Tree
 	due  []int
 
@@ -336,17 +336,21 @@ type fleetRun struct {
 	workers   int
 	epochLen  int
 
-	// live counts boards whose workload has not completed. It replaces the
-	// lockstep engine's former O(n)-per-step allDone scan: workers decrement
-	// it when their board finishes, and both engines terminate on zero.
+	// live counts boards whose workload has not completed: workers
+	// decrement it when their board finishes, and both schedules terminate
+	// on zero.
 	live atomic.Int64
 }
 
-// runLockstep is the reference engine: reallocate every epochLen intervals,
-// then step every board under a per-interval pool barrier.
+// runLockstep is FleetRunLockstep's schedule: fire the due tree nodes, then
+// step every board under a per-interval pool barrier.
 func (f *fleetRun) runLockstep() error {
 	for step := 0; step < f.maxSteps && f.live.Load() > 0; step++ {
-		realloc := f.reallocAt(step)
+		f.due = f.tree.Due(step, f.due[:0])
+		realloc := len(f.due) > 0
+		if realloc {
+			f.realloc()
+		}
 		err := pool.ForEachMetered(f.workers, f.n, f.opt.Metrics, func(i int) error {
 			fb := f.boards[i]
 			if fb.done {
@@ -366,31 +370,13 @@ func (f *fleetRun) runLockstep() error {
 	return nil
 }
 
-// reallocAt fires whatever coordination is due at the given step — the flat
-// policy every epoch, or the due tree nodes on their own cadences — and
-// reports whether any reallocation happened. Every leaf coordinator runs on
-// the epoch cadence, so tree reallocation instants coincide with the flat
-// ones; only the set of higher nodes firing varies.
-func (f *fleetRun) reallocAt(step int) bool {
-	if f.tree == nil {
-		if step%f.epochLen != 0 {
-			return false
-		}
-		f.realloc()
-		return true
-	}
-	f.due = f.tree.Due(step, f.due[:0])
-	if len(f.due) == 0 {
-		return false
-	}
-	f.reallocTree()
-	return true
-}
-
-// reallocTree is the hierarchical counterpart of realloc: refresh the
-// per-board telemetry, let the due tree nodes (already in f.due, preorder)
-// re-divide their budgets top-down, then actuate the resulting caps.
-func (f *fleetRun) reallocTree() {
+// realloc refreshes the per-board telemetry, lets the due tree nodes
+// (already in f.due, preorder) re-divide their budgets top-down, then
+// actuates the resulting caps. It runs on the coordination goroutine only,
+// between batches, so a policy never races board stepping. caps[i] is read
+// for telemetry before the policies run and zeroed only after, so the first
+// reallocation after a board finishes still sees its final cap.
+func (f *fleetRun) realloc() {
 	for i, fb := range f.boards {
 		f.tel[i] = fleetTelemetry(fb, f.caps[i], f.cfg.BasePowerW)
 	}
@@ -400,42 +386,17 @@ func (f *fleetRun) reallocTree() {
 	f.res.NodeReallocations += len(f.due)
 }
 
-// traceStep writes the interval's fleet-trace records: the single flat
-// record, or — hierarchically — one record per tree node in preorder, the
-// root first. The root record spans all boards with the full budget and an
-// empty node path, so a one-level tree's trace is byte-identical to the
-// flat one.
+// traceStep writes the interval's fleet-trace records: one per tree node
+// in preorder, the root first. The root record spans all boards with the
+// full budget and an empty node path.
 func (f *fleetRun) traceStep(step int, realloc bool) {
 	timeS := float64(step+1) * f.intervalS
-	if f.tree == nil {
-		f.opt.Trace.Add(fleetRecordRange(step, timeS, f.opt.Budget.TotalW,
-			f.caps, f.boards, 0, f.n, realloc, f.cfg.BasePowerW, ""))
-		return
-	}
 	for i := range f.tree.Nodes {
 		nd := &f.tree.Nodes[i]
 		f.opt.Trace.Add(fleetRecordRange(step, timeS, nd.BudgetW,
 			f.caps, f.boards, nd.First, nd.Boards,
 			realloc && f.tree.NodeRealloc(i, step), f.cfg.BasePowerW, nd.Path))
 	}
-}
-
-// realloc runs the budget policy and actuates the resulting caps. It is
-// invoked from the coordination goroutine only, between barriers, in both
-// engines — the policy never races board stepping. A finished board's cap
-// is zeroed exactly once (capZeroed); afterwards the board is skipped
-// instead of being rewritten every period. The policy still sees the same
-// telemetry it always did: caps[i] is read for telemetry before Allocate
-// runs and zeroed only after, so the first post-completion reallocation
-// observes the board's final pre-completion cap, exactly as the lockstep
-// engine always has.
-func (f *fleetRun) realloc() {
-	for i, fb := range f.boards {
-		f.tel[i] = fleetTelemetry(fb, f.caps[i], f.cfg.BasePowerW)
-	}
-	f.opt.Policy.Allocate(f.caps, f.opt.Budget, f.tel)
-	f.actuate()
-	f.res.Reallocations++
 }
 
 // actuate writes the freshly allocated caps to the boards. A finished
@@ -457,10 +418,10 @@ func (f *fleetRun) actuate() {
 
 // stepBoard executes one control interval on one board: advance the fault
 // injector, run the physics, invoke the board's scheme, feed the
-// observation taps, and latch the fleet-trace sample when the event engine
-// is buffering an epoch. It is the single definition of "one board
-// interval" for both engines, so the fault RNG streams and every recorded
-// value are consumed identically.
+// observation taps, and latch the fleet-trace sample when a batch is
+// buffering an epoch. It is the single definition of "one board interval"
+// for both schedules, so the fault RNG streams and every recorded value are
+// consumed identically.
 func (f *fleetRun) stepBoard(fb *fleetBoard, step int) {
 	if fb.inj != nil {
 		fb.inj.Advance(fb.b)
@@ -554,7 +515,7 @@ func fleetTelemetry(fb *fleetBoard, capW, baseW float64) fleet.Telemetry {
 
 // fleetRecordRange aggregates one interval over one node's board range
 // [first, first+count) into a fleet trace record — the whole fleet for the
-// flat record (node ""), a subtree for a per-node record.
+// root record (node ""), a subtree for any other node.
 func fleetRecordRange(step int, timeS float64, budgetW float64, caps []float64,
 	boards []*fleetBoard, first, count int, realloc bool, baseW float64,
 	node string) obs.FleetRecord {

@@ -29,13 +29,16 @@ func fleetTestMembers(t *testing.T, p *Platform, n int, sch Scheme) []FleetMembe
 
 // fleetTestOptions is a short bounded run: 4 boards for 60 simulated seconds
 // is enough for several reallocation periods and fault activity.
-func fleetTestOptions(policy fleet.Policy) FleetOptions {
+func fleetTestOptions(newPolicy func() fleet.Policy) FleetOptions {
 	return FleetOptions{
-		Budget:  fleet.Budget{TotalW: 8.8, MinW: 1.0, MaxW: 4.5},
-		Policy:  policy,
-		MaxTime: 60 * time.Second,
+		Budget:     fleet.Budget{TotalW: 8.8, MinW: 1.0, MaxW: 4.5},
+		TreePolicy: newPolicy,
+		MaxTime:    60 * time.Second,
 	}
 }
+
+// equalShare is the TreePolicy factory of the stateless equal-share policy.
+func equalShare() fleet.Policy { return fleet.EqualShare{} }
 
 // TestFleetConservation is the cross-scheme conservation table: for every
 // budget policy × fault class (plus clean) × scheme combination, the sum of
@@ -50,13 +53,10 @@ func TestFleetConservation(t *testing.T) {
 	}
 	classes := append([]string{"clean"}, fault.ClassNames()...)
 	for _, sch := range schemes {
-		for _, polName := range []string{"equal", "feedback"} {
+		for _, newPolicy := range []func() fleet.Policy{equalShare, feedbackPolicy} {
+			polName := newPolicy().Name()
 			for _, class := range classes {
-				pol, err := fleet.NewPolicy(polName)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt := fleetTestOptions(pol)
+				opt := fleetTestOptions(newPolicy)
 				if class != "clean" {
 					opt.Faults = fault.PresetClass(3, 1.0, class)
 				}
@@ -98,11 +98,7 @@ func fleetTraces(t *testing.T, p *Platform, parallelism int) []byte {
 	t.Helper()
 	sch := p.YuktaFullSSV(DefaultHWParams(), DefaultOSParams())
 	members := fleetTestMembers(t, p, 8, sch)
-	pol, err := fleet.NewPolicy("feedback")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := fleetTestOptions(pol)
+	opt := fleetTestOptions(feedbackPolicy)
 	opt.Budget.TotalW = 17.6
 	opt.Faults = fault.Preset(5, 1.0)
 	opt.Parallelism = parallelism
@@ -172,19 +168,19 @@ func TestFleetRunValidation(t *testing.T) {
 	p := testPlatform(t)
 	sch := p.CoordinatedHeuristic()
 	members := fleetTestMembers(t, p, 4, sch)
-	if _, err := FleetRun(p.Cfg, nil, fleetTestOptions(fleet.EqualShare{})); err == nil {
+	if _, err := FleetRun(p.Cfg, nil, fleetTestOptions(equalShare)); err == nil {
 		t.Fatal("empty fleet accepted")
 	}
 	opt := fleetTestOptions(nil)
 	if _, err := FleetRun(p.Cfg, members, opt); err == nil {
-		t.Fatal("nil policy accepted")
+		t.Fatal("nil policy factory accepted")
 	}
-	opt = fleetTestOptions(fleet.EqualShare{})
+	opt = fleetTestOptions(equalShare)
 	opt.Budget.TotalW = 2 // cannot cover 4 × 1 W floors
 	if _, err := FleetRun(p.Cfg, members, opt); err == nil {
 		t.Fatal("infeasible budget accepted")
 	}
-	opt = fleetTestOptions(fleet.EqualShare{})
+	opt = fleetTestOptions(equalShare)
 	opt.BoardTraces = make([]*obs.Recorder, 2)
 	if _, err := FleetRun(p.Cfg, members, opt); err == nil {
 		t.Fatal("mis-sized BoardTraces accepted")

@@ -68,10 +68,6 @@ type RunOptions struct {
 	// figures) set it so thousands of runs do not each retain a full
 	// time-series trace they never read.
 	SkipSeries bool
-	// Engine selects the simulation core ("" = EngineEvent). Both engines
-	// produce byte-identical results and traces; EngineLockstep is the
-	// reference implementation kept for differential testing.
-	Engine Engine
 	// Trace, when non-nil, receives one obs.Record per control interval:
 	// the sensor vector the controller saw, the commanded vs applied
 	// actuation, the supervisory state and detector pressures, the faults
@@ -87,42 +83,86 @@ type RunOptions struct {
 }
 
 // Run executes the workload to completion (or MaxTime) under the scheme on a
-// fresh board and returns the measured result.
+// fresh board and returns the measured result. It drives a StepRun to its
+// end, so a batch run and a hosted session execute one interval body.
 func Run(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*RunResult, error) {
-	r, eng, err := newSoloRun(cfg, sch, w, opt)
+	s, err := NewStepRun(cfg, sch, w, opt)
 	if err != nil {
 		return nil, err
 	}
-	if eng == EngineLockstep {
-		r.runLockstep()
-	} else {
-		r.runEvent()
-	}
-	res := r.finalize()
-	r.countOnce()
-	return res, nil
+	s.Step(s.MaxSteps())
+	return s.Result(), nil
 }
 
-// newSoloRun performs the shared run setup — scheme instantiation, fault
-// stream derivation, board construction, observation taps, engine
-// resolution — for both the batch Run path and the incrementally driven
-// StepRun path. The two paths execute the identical soloRun.step interval
-// body afterwards, which is what makes a hosted session's trace
-// byte-identical to the batch run of the same options.
-func newSoloRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*soloRun, Engine, error) {
+// soloRun is the per-run state of a single board: the workload, the board,
+// the controller session, the fault injector and the observation taps that
+// soloRun.step advances one control interval at a time.
+type soloRun struct {
+	w        workload.Workload
+	b        *board.Board
+	sess     Session
+	inj      *fault.Injector
+	opt      *RunOptions
+	res      *RunResult
+	observe  bool
+	lat      *obs.Histogram
+	hp       healthProbe
+	fp       flightProber
+	maxSteps int
+
+	prevFaults fault.Stats
+	sensors    board.Sensors
+
+	// counted latches countOnce so a run folds into the metrics registry at
+	// most once, however many times its result is finalized.
+	counted bool
+}
+
+// step executes control interval i: advance the fault injector, run the
+// board physics, invoke the controller stack, and feed the observation
+// taps. It is the single definition of "one control interval" of a solo
+// run.
+func (r *soloRun) step(i int) {
+	if r.inj != nil {
+		r.inj.Advance(r.b)
+	}
+	r.sensors = r.b.Run(r.w, r.opt.Interval)
+	var t0 time.Time
+	if r.observe {
+		t0 = time.Now()
+	}
+	r.sess.Step(r.sensors, r.b, r.w.Profile().Threads)
+	if r.observe {
+		latNS := time.Since(t0).Nanoseconds()
+		if r.lat != nil {
+			r.lat.Observe(float64(latNS) / 1e3)
+		}
+		if r.opt.Trace != nil {
+			recordInterval(r.opt.Trace, i, r.sensors, r.b, r.inj, &r.prevFaults, r.hp, r.fp, latNS)
+		}
+	}
+	if !r.opt.SkipSeries {
+		r.res.BigPower.Add(r.sensors.TimeS, r.sensors.BigPowerW)
+		r.res.LittlePower.Add(r.sensors.TimeS, r.sensors.LittlePowerW)
+		r.res.Perf.Add(r.sensors.TimeS, r.sensors.BIPS)
+		r.res.Temp.Add(r.sensors.TimeS, r.sensors.TempC)
+		r.res.BigFreq.Add(r.sensors.TimeS, r.b.EffectiveBigFreq())
+	}
+}
+
+// newSoloRun performs the run setup — scheme instantiation, fault stream
+// derivation, board construction, observation taps — behind NewStepRun,
+// which both Run and the serve layer's hosted sessions use.
+func newSoloRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*soloRun, error) {
 	if opt.MaxTime <= 0 {
 		opt.MaxTime = 1200 * time.Second
 	}
 	if opt.Interval <= 0 {
 		opt.Interval = 500 * time.Millisecond
 	}
-	eng, err := opt.Engine.resolve()
-	if err != nil {
-		return nil, "", err
-	}
 	sess, err := sch.New()
 	if err != nil {
-		return nil, "", fmt.Errorf("core: building scheme %q: %w", sch.Name, err)
+		return nil, fmt.Errorf("core: building scheme %q: %w", sch.Name, err)
 	}
 	var inj *fault.Injector
 	if opt.Faults.Enabled() {
@@ -164,13 +204,13 @@ func newSoloRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOption
 		observe: observe, lat: lat, hp: hp, fp: fp,
 		maxSteps: int(opt.MaxTime / opt.Interval),
 	}
-	return r, eng, nil
+	return r, nil
 }
 
 // finalize distills the run's current state into its RunResult. It is the
-// shared epilogue of Run and StepRun.Result and is safe to call mid-run (the
-// serve layer reports live results); folding into the metrics registry is
-// countOnce's job, so repeated finalize calls never double-count.
+// epilogue of StepRun.Result and is safe to call mid-run (the serve layer
+// reports live results); folding into the metrics registry is countOnce's
+// job, so repeated finalize calls never double-count.
 func (r *soloRun) finalize() *RunResult {
 	res, b, w := r.res, r.b, r.w
 	res.Completed = w.Done()

@@ -8,15 +8,13 @@ import (
 	"yukta/internal/workload"
 )
 
-// StepRun is an incrementally driven run: the same setup, interval body and
-// epilogue as the batch Run, but advanced by explicit Step calls instead of
-// running to completion. It is the session primitive the yukta-serve daemon
-// hosts — a long-running service owns many StepRuns and advances each on
-// request.
+// StepRun is an incrementally driven run, advanced by explicit Step calls.
+// The batch Run is one StepRun stepped to its end; the yukta-serve daemon
+// hosts many and advances each on request.
 //
 // Determinism survives hosting: a StepRun advanced in arbitrary chunk sizes
-// executes exactly the soloRun.step interval sequence the batch engines
-// execute, so its RunResult scalars and attached obs.Recorder trace are
+// executes exactly the soloRun.step interval sequence the batch Run
+// executes, so its RunResult scalars and attached obs.Recorder trace are
 // byte-identical to Run with the same options (gated by
 // TestStepRunMatchesBatch and the serve package's determinism test).
 //
@@ -30,12 +28,8 @@ type StepRun struct {
 }
 
 // NewStepRun builds an incrementally driven run from the same inputs as Run.
-// The Engine option is validated for parity with the batch path but does not
-// change scheduling here: a hosted session has exactly one board, for which
-// both engines degenerate to the same per-interval sequence (see
-// soloRun.runEvent).
 func NewStepRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*StepRun, error) {
-	r, _, err := newSoloRun(cfg, sch, w, opt)
+	r, err := newSoloRun(cfg, sch, w, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -75,8 +75,8 @@ type FleetTable struct {
 	Classes  []string
 	// Apps is the mix boards cycle through.
 	Apps []string
-	// Topo is the coordinator topology spec every cell ran under, or "" for
-	// the flat single-coordinator path.
+	// Topo is the coordinator topology spec every cell ran under, or "" when
+	// the sweep set none and every cell ran the one-level tree.
 	Topo string
 	// Cells[ci][ni][pi] is the outcome for Classes[ci], Ns[ni], Policies[pi].
 	Cells [][][]FleetCell
@@ -160,21 +160,24 @@ func (c *Context) fleetMembers(n int, apps []string) ([]core.FleetMember, error)
 }
 
 // fleetOpts assembles one fleet run's options for the given size, policy and
-// fault class ("clean" = no faults). With a FleetTopo set on the context the
-// run is hierarchical: the topology is parsed per cell and every tree node
-// gets a fresh instance of the named policy.
+// fault class ("clean" = no faults). Every tree node gets a fresh instance
+// of the named policy; with a FleetTopo set on the context the topology is
+// parsed per cell, otherwise the run is the one-level tree.
 func (c *Context) fleetOpts(n int, policyName, class string, boardBudgetW float64) (core.FleetOptions, error) {
+	if _, err := fleet.NewPolicy(policyName); err != nil {
+		return core.FleetOptions{}, err
+	}
 	opt := core.FleetOptions{
 		Budget: fleet.Budget{
 			TotalW: boardBudgetW * float64(n),
 			MinW:   DefaultFleetMinCapW,
 			MaxW:   DefaultFleetMaxCapW,
 		},
+		TreePolicy:  treePolicyFactory(policyName),
 		MaxTime:     1500 * time.Second,
 		Interval:    500 * time.Millisecond,
 		Parallelism: c.Parallelism,
 		Metrics:     c.Metrics,
-		Engine:      c.Engine,
 	}
 	if c.FleetTopo != "" {
 		topo, err := fleet.ParseTopology(c.FleetTopo)
@@ -185,17 +188,7 @@ func (c *Context) fleetOpts(n int, policyName, class string, boardBudgetW float6
 			return core.FleetOptions{}, fmt.Errorf(
 				"exp: fleet topology %q covers %d boards, sweep size is %d", c.FleetTopo, topo.Boards, n)
 		}
-		if _, err := fleet.NewPolicy(policyName); err != nil {
-			return core.FleetOptions{}, err
-		}
 		opt.Topology = topo
-		opt.TreePolicy = treePolicyFactory(policyName)
-	} else {
-		pol, err := fleet.NewPolicy(policyName)
-		if err != nil {
-			return core.FleetOptions{}, err
-		}
-		opt.Policy = pol
 	}
 	if class != "clean" {
 		opt.Faults = fault.PresetClass(c.Seed, DefaultClassIntensity, class)
@@ -203,8 +196,8 @@ func (c *Context) fleetOpts(n int, policyName, class string, boardBudgetW float6
 	return opt, nil
 }
 
-// treePolicyFactory returns the per-node policy constructor for hierarchical
-// runs. Callers validate the policy name before building the factory, so a
+// treePolicyFactory returns the per-node policy constructor of a fleet run.
+// Callers validate the policy name before building the factory, so a
 // bad name surfaces as an error from option assembly instead of a panic
 // inside the tree.
 func treePolicyFactory(policyName string) func() fleet.Policy {
@@ -226,9 +219,9 @@ func treePolicyFactory(policyName string) func() fleet.Policy {
 // select the defaults: ns {4, 16}, both policies, clean only.
 //
 // The sweep fans fleet runs across the worker pool (cells are independent),
-// and each fleet run fans its per-interval board stepping across the same
-// pool budget; results are deterministic at any Parallelism. With a TraceDir
-// set, each cell writes its coordination-layer trace as
+// and each fleet run fans its board stepping across the same pool budget;
+// results are deterministic at any Parallelism. With a TraceDir set, each
+// cell writes its coordination-layer trace as
 // fleet-<class>-n<N>-<policy>.fleet.jsonl. With a FleetTopo set on the
 // context every cell runs hierarchically under that topology (its board
 // count must equal each sweep size): trace records then carry the node path

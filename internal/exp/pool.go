@@ -45,14 +45,9 @@ type Options struct {
 	// FleetTopo, when non-empty, runs every fleet sweep cell hierarchically
 	// under this coordinator topology (fleet.ParseTopology grammar, e.g.
 	// "4x8" or "root=a,b;a=4;b=4"). The topology's board count must equal
-	// the sweep's fleet size. Empty keeps the flat single-coordinator path.
+	// the sweep's fleet size. Empty runs the one-level tree: a single
+	// coordinator over every board.
 	FleetTopo string
-
-	// Engine selects the simulation core for every run the harness launches
-	// ("" = the event engine). Results and traces are byte-identical across
-	// engines; the lockstep engine exists for differential testing and
-	// engine benchmarking.
-	Engine core.Engine
 }
 
 // workers resolves the context's parallelism setting to a concrete count.

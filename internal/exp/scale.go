@@ -15,8 +15,9 @@ import (
 	"yukta/internal/workload"
 )
 
-// Fleet scaling-curve benchmark: wall-clock and EDP of both simulation
-// engines versus fleet size, on a done-heavy board mix. Half the boards run
+// Fleet scaling-curve benchmark: wall-clock and EDP of the event engine
+// (core.FleetRun) and its lockstep reference (core.FleetRunLockstep) versus
+// fleet size, on a done-heavy board mix. Half the boards run
 // a short workload that completes in roughly the first quarter of the run
 // and then sits quiescent; the other half run a long workload that never
 // completes before MaxTime. The mix is what separates the engines: both
@@ -51,6 +52,12 @@ const (
 	// curve rather than an engine-vs-engine gate, so fewer repetitions
 	// suffice.
 	treeScaleReps = 3
+)
+
+// Engine labels of the scaling report's points.
+const (
+	scaleLockstep = "lockstep" // core.FleetRunLockstep
+	scaleEvent    = "event"    // core.FleetRun
 )
 
 // scaleApp builds one synthetic steady-phase board workload.
@@ -107,8 +114,8 @@ type FleetScalePoint struct {
 // FleetTreeScalePoint is one hierarchical measurement of the same done-heavy
 // scale scenario: the fleet run under a balanced coordinator tree
 // (fleet.Uniform) of the given depth, on the event engine. Depth 1 is the
-// degenerate single-coordinator tree and must reproduce the flat event
-// point's simulated outcome exactly; deeper trees re-divide the budget
+// single-coordinator tree the flat points run by default, so it must
+// reproduce the flat event point's simulated outcome exactly; deeper trees re-divide the budget
 // recursively, so their EDP may differ — that delta is the hierarchy's cost
 // or gain, and the wall-clock column its overhead.
 type FleetTreeScalePoint struct {
@@ -157,14 +164,19 @@ func (c *Context) scaleParallelism() int {
 	return scaleWorkers
 }
 
-// fleetScaleRun executes the done-heavy scale scenario once on the given
-// engine.
-func (c *Context) fleetScaleRun(n int, eng core.Engine) (*core.FleetResult, error) {
-	members, err := c.scaleMembers(n)
-	if err != nil {
-		return nil, err
+// FleetScaleRun executes the done-heavy scale scenario once under the
+// default one-level tree, on the named engine: "event" (core.FleetRun) or
+// "lockstep" (core.FleetRunLockstep). BenchmarkFleetStep times it.
+func (c *Context) FleetScaleRun(n int, engine string) (*core.FleetResult, error) {
+	run := core.FleetRun
+	switch engine {
+	case scaleEvent:
+	case scaleLockstep:
+		run = core.FleetRunLockstep
+	default:
+		return nil, fmt.Errorf("exp: unknown engine %q (want %q or %q)", engine, scaleEvent, scaleLockstep)
 	}
-	pol, err := fleet.NewPolicy("feedback")
+	members, err := c.scaleMembers(n)
 	if err != nil {
 		return nil, err
 	}
@@ -174,22 +186,11 @@ func (c *Context) fleetScaleRun(n int, eng core.Engine) (*core.FleetResult, erro
 			MinW:   DefaultFleetMinCapW,
 			MaxW:   DefaultFleetMaxCapW,
 		},
-		Policy:      pol,
+		TreePolicy:  treePolicyFactory("feedback"),
 		MaxTime:     scaleMaxTime,
 		Parallelism: c.scaleParallelism(),
-		Engine:      eng,
 	}
-	return core.FleetRun(c.P.Cfg, members, opt)
-}
-
-// FleetScaleRun executes the scaling benchmark's done-heavy scenario once on
-// the named engine ("event" or "lockstep"); BenchmarkFleetStep times it.
-func (c *Context) FleetScaleRun(n int, engine string) (*core.FleetResult, error) {
-	eng, err := core.ParseEngine(engine)
-	if err != nil {
-		return nil, err
-	}
-	return c.fleetScaleRun(n, eng)
+	return run(c.P.Cfg, members, opt)
 }
 
 // fleetScalePair times both engines at one fleet size, interleaving the
@@ -200,7 +201,7 @@ func (c *Context) fleetScalePair(n int) (lock, ev FleetScalePoint, err error) {
 	var lockWall, evWall time.Duration
 	for rep := 0; rep < scaleReps; rep++ {
 		start := time.Now()
-		lr, lerr := c.fleetScaleRun(n, core.EngineLockstep)
+		lr, lerr := c.FleetScaleRun(n, scaleLockstep)
 		lw := time.Since(start)
 		if lerr != nil {
 			return lock, ev, fmt.Errorf("exp: fleet scale N=%d lockstep: %w", n, lerr)
@@ -209,7 +210,7 @@ func (c *Context) fleetScalePair(n int) (lock, ev FleetScalePoint, err error) {
 			lockRes, lockWall = lr, lw
 		}
 		start = time.Now()
-		er, eerr := c.fleetScaleRun(n, core.EngineEvent)
+		er, eerr := c.FleetScaleRun(n, scaleEvent)
 		ew := time.Since(start)
 		if eerr != nil {
 			return lock, ev, fmt.Errorf("exp: fleet scale N=%d event: %w", n, eerr)
@@ -218,15 +219,15 @@ func (c *Context) fleetScalePair(n int) (lock, ev FleetScalePoint, err error) {
 			evRes, evWall = er, ew
 		}
 	}
-	lock = makeScalePoint(core.EngineLockstep, n, lockRes, lockWall)
-	ev = makeScalePoint(core.EngineEvent, n, evRes, evWall)
+	lock = makeScalePoint(scaleLockstep, n, lockRes, lockWall)
+	ev = makeScalePoint(scaleEvent, n, evRes, evWall)
 	return lock, ev, nil
 }
 
 // makeScalePoint folds one cell's fastest run into its report row.
-func makeScalePoint(eng core.Engine, n int, res *core.FleetResult, wall time.Duration) FleetScalePoint {
+func makeScalePoint(eng string, n int, res *core.FleetResult, wall time.Duration) FleetScalePoint {
 	pt := FleetScalePoint{
-		Engine:        string(eng),
+		Engine:        eng,
 		Boards:        n,
 		WallMS:        float64(wall.Nanoseconds()) / 1e6,
 		Steps:         res.Steps,
@@ -303,7 +304,6 @@ func (c *Context) fleetTreeScaleRun(topo *fleet.Topology) (*core.FleetResult, er
 		TreePolicy:  treePolicyFactory("feedback"),
 		MaxTime:     scaleMaxTime,
 		Parallelism: c.scaleParallelism(),
-		Engine:      core.EngineEvent,
 	}
 	return core.FleetRun(c.P.Cfg, members, opt)
 }
@@ -342,8 +342,8 @@ func (c *Context) fleetTreeScalePoint(topo *fleet.Topology) (FleetTreeScalePoint
 // FleetScaleTree extends the scaling benchmark with the hierarchy axis: after
 // the flat engine curve it measures the same scenario under a balanced
 // coordinator tree (fleet.Uniform) at every (fleet size, depth) pair. Depth-1
-// points are cross-checked against the flat event points — the degenerate
-// tree must reproduce the flat run's simulated outcome exactly; deeper
+// points are cross-checked against the flat event points — an explicit
+// one-level tree must reproduce the default run's simulated outcome exactly; deeper
 // points record the hierarchy's EDP delta and wall-clock overhead. Empty
 // arguments select the FleetScale default sizes and depths {1, 2}.
 func (c *Context) FleetScaleTree(ns, depths []int) (*FleetScaleReport, error) {
@@ -472,7 +472,7 @@ func (r *FleetScaleReport) Check() error {
 		return fmt.Errorf("exp: scale report has no points")
 	}
 	lock, ev := r.Points[len(r.Points)-2], r.Points[len(r.Points)-1]
-	if lock.Engine != string(core.EngineLockstep) || ev.Engine != string(core.EngineEvent) || lock.Boards != ev.Boards {
+	if lock.Engine != scaleLockstep || ev.Engine != scaleEvent || lock.Boards != ev.Boards {
 		return fmt.Errorf("exp: malformed scale report tail: %+v, %+v", lock, ev)
 	}
 	if ev.QuiescentFrac < 0.25 {
@@ -535,7 +535,7 @@ func (r *FleetScaleReport) renderTreePoints() string {
 	flatWall := map[int]float64{}
 	flatEDP := map[int]float64{}
 	for _, p := range r.Points {
-		if p.Engine == string(core.EngineEvent) {
+		if p.Engine == scaleEvent {
 			flatWall[p.Boards] = p.WallMS
 			flatEDP[p.Boards] = p.EDP
 		}

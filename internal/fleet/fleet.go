@@ -4,8 +4,8 @@
 // ODROID board and frames the methodology as extensible; this package adds
 // the next layer up, in the mold of ControlPULP's hierarchical power
 // controller and Makridis et al.'s robust datacenter CPU provisioning: N
-// boards advance in lockstep under a shared fleet power budget, and a budget
-// policy periodically re-divides the budget across boards.
+// boards advance on a shared clock under a shared fleet power budget, and a
+// budget policy periodically re-divides the budget across boards.
 //
 // The layering contract mirrors how the OS layer constrains the HW layer on
 // a single board: the fleet layer never reaches into a board's controllers.

@@ -51,12 +51,11 @@ type TreeNode struct {
 // stays in [MinW, MaxW].
 //
 // A one-level tree (Depth 1) is the degenerate case: its single node runs
-// the policy over all boards with the full budget — bit-identical to the
-// flat fleet path, which the golden suite pins.
+// the policy over all boards with the full budget — the flat fleet, whose
+// committed golden traces it reproduces byte for byte.
 //
 // Methods are not safe for concurrent use; the fleet runner calls them from
-// its coordination goroutine between stepping barriers, like the flat
-// policy.
+// its coordination goroutine between stepping barriers.
 type Tree struct {
 	// Topo is the validated shape the tree was built from.
 	Topo *Topology

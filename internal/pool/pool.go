@@ -1,6 +1,6 @@
 // Package pool is the bounded worker pool shared by the experiment harness
-// (fan-out over independent runs) and the fleet runner (fan-out over boards
-// inside one lockstep control interval). It was extracted from internal/exp
+// (fan-out over independent runs) and the fleet runner (fan-out over the
+// boards stepping between two reallocation barriers). It was extracted from internal/exp
 // so internal/core could reuse it without an import cycle.
 //
 // The pool preserves the harness's determinism contract: jobs are identified

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -160,6 +162,56 @@ func TestRecoverTruncatedTail(t *testing.T) {
 	got := fetchTrace(t, tsB, sess.ID)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("post-truncation trace differs from uninterrupted trace (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestRecoverLegacyEngineField pins WAL backward compatibility: logs written
+// before the engine selector was retired carry an "engine":"lockstep" key in
+// their create record. Such a log must still recover, to a /trace
+// byte-identical to an uninterrupted session — so WAL and create decoding
+// must keep ignoring unknown fields.
+func TestRecoverLegacyEngineField(t *testing.T) {
+	tuple := CreateRequest{Scheme: "coordinated", App: "gamess", MaxTimeS: 20}
+
+	_, tsRef := newTestServer(t, nil)
+	ref := create(t, tsRef, tuple)
+	stepToDone(t, tsRef, ref.ID, 6)
+	want := fetchTrace(t, tsRef, ref.ID)
+
+	dir := t.TempDir()
+	_, tsA := newDurableServer(t, dir, nil)
+	sess := create(t, tsA, tuple)
+	do(t, "POST", tsA.URL+"/v1/sessions/"+sess.ID+"/step", StepRequest{Steps: 10, Seq: 1}, nil)
+	tsA.Close()
+
+	// Rewrite the create record as an older daemon wrote it: the retired
+	// engine key inside the request, under a valid CRC.
+	path := sessionWALPath(dir, sess.ID)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, rest, _ := bytes.Cut(raw, []byte("\n"))
+	_, payload, _ := bytes.Cut(first, []byte(" "))
+	legacy := bytes.Replace(payload, []byte(`"req":{`), []byte(`"req":{"engine":"lockstep",`), 1)
+	if bytes.Equal(legacy, payload) {
+		t.Fatalf("create record %q has no request object", payload)
+	}
+	var log bytes.Buffer
+	fmt.Fprintf(&log, "%08x %s\n", crc32.ChecksumIEEE(legacy), legacy)
+	log.Write(rest)
+	if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sB, tsB := newDurableServer(t, dir, nil)
+	rep := sB.Recover()
+	if rep.Recovered != 1 || rep.Abandoned != 0 || rep.Truncated != 0 || rep.ReplayedSteps != 10 {
+		t.Fatalf("recover report %+v; want 1 recovered session replaying 10 steps", rep)
+	}
+	stepToDone(t, tsB, sess.ID, 6)
+	if got := fetchTrace(t, tsB, sess.ID); !bytes.Equal(want, got) {
+		t.Fatalf("legacy-log trace differs from uninterrupted trace (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -160,7 +160,6 @@ func TestServeTraceMatchesBatch(t *testing.T) {
 				MaxTime:    20 * time.Second,
 				SkipSeries: true,
 				Trace:      rec,
-				Engine:     core.EngineEvent,
 			}
 			if class != "" {
 				opt.Faults = fault.PresetClass(7, 1.0, class)
@@ -277,14 +276,13 @@ func TestAdmissionCapacity(t *testing.T) {
 }
 
 // TestCreateValidation checks the 400 paths: unknown scheme, app, fault
-// class, engine, and fault knobs without a class.
+// class, fault knobs without a class, and a negative interval.
 func TestCreateValidation(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	for _, req := range []CreateRequest{
 		{Scheme: "nope", App: "gamess"},
 		{Scheme: "coordinated", App: "nope"},
 		{Scheme: "coordinated", App: "gamess", FaultClass: "nope"},
-		{Scheme: "coordinated", App: "gamess", Engine: "nope"},
 		{Scheme: "coordinated", App: "gamess", FaultSeed: 3},
 		{Scheme: "coordinated", App: "gamess", IntervalMS: -1},
 	} {
