@@ -225,7 +225,8 @@ func BenchmarkFig17InputWeights(b *testing.B) {
 // sub-benchmark pays one per reallocation epoch and drops finished boards
 // off the clock. Both produce identical simulation results — the CI smoke
 // job runs this at -benchtime 1x to catch engine wall-clock regressions,
-// alongside the N∈{64,256} scaling-curve guard (yukta-bench -fleetscale).
+// alongside the N∈{64,256,1024} scaling-curve guard (yukta-bench
+// -fleetscale -benchguard).
 func BenchmarkFleetStep(b *testing.B) {
 	c := benchContext(b)
 	for _, engine := range []string{"lockstep", "event"} {

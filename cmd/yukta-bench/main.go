@@ -19,7 +19,7 @@
 //	yukta-bench -fleet 4 -fleetpolicy feedback -fleetbudget 2.0
 //	yukta-bench -fleet 16 -fleet-topo 4x4     # hierarchical: 4 racks of 4 boards
 //	yukta-bench -fleetscale 64,256 -scaledepths 1,2 -benchout BENCH_evloop.json
-//	yukta-bench -fleet-topo 32x32 -topoguard BENCH_evloop.json # hierarchy regression gate
+//	yukta-bench -fleetscale 64,256,1024 -scaledepths 1,2 -benchguard BENCH_evloop.json # regression gate
 //	yukta-bench -tracecheck traces/ # validate recorded JSONL against the schema
 package main
 
@@ -61,10 +61,9 @@ func main() {
 		fleetBW   = flag.Float64("fleetbudget", exp.DefaultFleetBoardBudgetW, "per-board share of the shared fleet power budget, in watts")
 		fleetScl  = flag.String("fleetscale", "", "run the engine scaling-curve benchmark over these comma-separated fleet sizes (e.g. 64,256)")
 		benchOut  = flag.String("benchout", "", "write the scaling-curve benchmark report as JSON to this file")
-		sclGuard  = flag.Bool("scaleguard", false, "fail unless the event engine beats lockstep at the largest -fleetscale size (regression gate)")
-		fleetTopo = flag.String("fleet-topo", "", "coordinator topology for -fleet sweeps and -topoguard (fleet.ParseTopology grammar, e.g. 32x32 or root=a,b;a=4;b=4); empty = one coordinator over every board")
+		fleetTopo = flag.String("fleet-topo", "", "coordinator topology for -fleet sweeps (fleet.ParseTopology grammar, e.g. 4x4 or root=a,b;a=4;b=4); empty = one coordinator over every board")
 		sclDepths = flag.String("scaledepths", "", "with -fleetscale, also measure balanced coordinator trees at these comma-separated depths (e.g. 1,2,3)")
-		topoGuard = flag.String("topoguard", "", "committed scaling report JSON (BENCH_evloop.json): re-run the -fleet-topo scenario and fail if it diverges from the committed tree point")
+		benchGrd  = flag.String("benchguard", "", "committed scaling report JSON (BENCH_evloop.json): fail unless the event engine beats lockstep at the largest -fleetscale size and every measured point matches its committed point (regression gate)")
 	)
 	flag.Parse()
 
@@ -127,7 +126,7 @@ func main() {
 		}
 		return
 	}
-	if *fig == "" && !*all && !*faults && *fleetN == 0 && *fleetScl == "" && *topoGuard == "" {
+	if *fig == "" && !*all && !*faults && *fleetN == 0 && *fleetScl == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -155,36 +154,18 @@ func main() {
 		defer func() { fmt.Fprint(os.Stderr, ctx.Metrics.Render()) }()
 	}
 
-	if *topoGuard != "" {
-		if *fleetTopo == "" {
-			fatal(fmt.Errorf("-topoguard needs -fleet-topo to name the topology to re-run"))
-		}
-		committed, err := exp.ReadFleetScaleReport(*topoGuard)
-		if err != nil {
-			fatal(err)
-		}
-		if err := ctx.TreeGuard(*fleetTopo, committed); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "topology guard OK: %s matches the committed tree point\n", *fleetTopo)
-		return
-	}
-
 	if *fleetScl != "" {
 		ns, err := parseSizes(*fleetScl, "-fleetscale")
 		if err != nil {
 			fatal(err)
 		}
-		var rep *exp.FleetScaleReport
+		var depths []int
 		if *sclDepths != "" {
-			depths, derr := parseSizes(*sclDepths, "-scaledepths")
-			if derr != nil {
-				fatal(derr)
+			if depths, err = parseSizes(*sclDepths, "-scaledepths"); err != nil {
+				fatal(err)
 			}
-			rep, err = ctx.FleetScaleTree(ns, depths)
-		} else {
-			rep, err = ctx.FleetScale(ns)
 		}
+		rep, err := ctx.FleetScale(ns, depths)
 		if err != nil {
 			fatal(err)
 		}
@@ -204,11 +185,16 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchOut)
 		}
-		if *sclGuard {
-			if err := rep.Check(); err != nil {
+		if *benchGrd != "" {
+			committed, err := exp.ReadFleetScaleReport(*benchGrd)
+			if err != nil {
 				fatal(err)
 			}
-			fmt.Fprintln(os.Stderr, "scale guard OK: event engine beats lockstep at the largest size")
+			if err := rep.Guard(committed); err != nil {
+				fatal(err)
+			}
+			fmt.Fprintf(os.Stderr, "bench guard OK: %d points match %s and the event engine beats lockstep at the largest size\n",
+				len(rep.Points), *benchGrd)
 		}
 		return
 	}

@@ -55,7 +55,7 @@ func main() {
 		scheme    = flag.String("scheme", "yukta-full", "controller scheme")
 		trace     = flag.Bool("trace", false, "print ASCII power/performance traces")
 		maxTime   = flag.Duration("max", 25*time.Minute, "simulation time budget")
-		noise     = flag.Float64("noise", 0, "power-sensor noise std-dev in watts (failure injection)")
+		noise     = flag.Float64("noise", 0, "sensor noise std-dev: watts on the big-cluster power reading, a tenth of it on the little cluster and in °C on temperature (seeded by -faultseed)")
 		faults    = flag.Float64("faults", 0, "fault-campaign intensity (0 = clean; 1 = harness's harshest default)")
 		faultSeed = flag.Int64("faultseed", 1, "base seed of the injected fault campaign")
 		record    = flag.String("record", "", "write the flight-recorder decision log to this JSONL path and print its timeline")
@@ -99,21 +99,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := p.Cfg
-	if *noise > 0 {
-		cfg.SensorNoiseStd = *noise
-		cfg.SensorNoiseSeed = 1
-	}
 	opt := yukta.RunOptions{MaxTime: *maxTime}
 	if *faults > 0 {
 		opt.Faults = yukta.FaultPreset(*faultSeed, *faults)
+	}
+	if *noise > 0 {
+		// Plain Gaussian sensor noise through the fault layer's sensor tap,
+		// overriding the preset's power and temperature noise when -faults
+		// is also given.
+		opt.Faults.Seed = *faultSeed
+		opt.Faults.Noise.PowerStdW = *noise
+		opt.Faults.Noise.TempStdC = *noise / 10
 	}
 	var rec *yukta.FlightRecorder
 	if *record != "" {
 		rec = yukta.NewFlightRecorder(int(*maxTime/(500*time.Millisecond)) + 1)
 		opt.Trace = rec
 	}
-	res, err := yukta.Run(cfg, sch, w, opt)
+	res, err := yukta.Run(p.Cfg, sch, w, opt)
 	if err != nil {
 		fatal(err)
 	}

@@ -3,7 +3,6 @@ package board
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"yukta/internal/workload"
@@ -129,8 +128,6 @@ type Board struct {
 	// Migration bookkeeping.
 	migStallS float64
 
-	noise *rand.Rand
-
 	// Fault-injection taps (nil = clean board).
 	sensorTap SensorTap
 	actTap    ActuatorTap
@@ -158,9 +155,6 @@ func New(cfg Config) *Board {
 			ThreadsPerBigCore:    1,
 			ThreadsPerLittleCore: 1,
 		},
-	}
-	if cfg.SensorNoiseStd > 0 {
-		b.noise = rand.New(rand.NewSource(cfg.SensorNoiseSeed + 1))
 	}
 	b.tmu = newTMU(cfg)
 	b.budget = newBudget(cfg)
@@ -491,10 +485,6 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 			win := b.nowS - b.windowStartS
 			b.sensedBigW = b.windowBigE / win
 			b.sensedLittleW = b.windowLittleE / win
-			if b.noise != nil {
-				b.sensedBigW = math.Max(0, b.sensedBigW+b.noise.NormFloat64()*b.cfg.SensorNoiseStd)
-				b.sensedLittleW = math.Max(0, b.sensedLittleW+b.noise.NormFloat64()*b.cfg.SensorNoiseStd/10)
-			}
 			b.windowBigE, b.windowLittleE = 0, 0
 			b.windowStartS = b.nowS
 		}
@@ -510,15 +500,11 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 	b.instLittle += instL
 
 	intervalS := float64(nSteps) * stepS
-	tempRead := b.tempC
-	if b.noise != nil {
-		tempRead += b.noise.NormFloat64() * b.cfg.SensorNoiseStd / 10
-	}
 	s := Sensors{
 		TimeS:            b.nowS,
 		BigPowerW:        b.sensedBigW,
 		LittlePowerW:     b.sensedLittleW,
-		TempC:            tempRead,
+		TempC:            b.tempC,
 		BIPS:             instT / intervalS,
 		BIPSBig:          instB / intervalS,
 		BIPSLittle:       instL / intervalS,

@@ -113,14 +113,6 @@ type Config struct {
 	// MuxEfficiency is the per-extra-thread multiplexing efficiency when
 	// multiple threads share a core.
 	MuxEfficiency float64
-
-	// SensorNoiseStd adds zero-mean Gaussian noise (in watts) to the power
-	// sensor readings, and a tenth of it (in °C) to the temperature sensor.
-	// Zero (the default) gives noise-free sensors; the robustness tests use
-	// it for failure injection.
-	SensorNoiseStd float64
-	// SensorNoiseSeed makes noisy runs reproducible.
-	SensorNoiseSeed int64
 }
 
 // DefaultConfig returns the ODROID XU3 calibration. Dynamic/static power

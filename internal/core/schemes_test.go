@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"yukta/internal/fault"
 	"yukta/internal/workload"
 )
 
@@ -108,11 +109,9 @@ func TestYuktaSurvivesSensorNoise(t *testing.T) {
 	p := testPlatform(t)
 	clean := runFor(t, p, p.YuktaFullSSV(DefaultHWParams(), DefaultOSParams()), "blackscholes")
 
-	noisyCfg := p.Cfg
-	noisyCfg.SensorNoiseStd = 0.15
-	noisyCfg.SensorNoiseSeed = 7
+	noisy := fault.Plan{Seed: 7, Noise: fault.NoiseFault{PowerStdW: 0.15, TempStdC: 0.015}}
 	w := workload.MustLookup("blackscholes")
-	res, err := Run(noisyCfg, p.YuktaFullSSV(DefaultHWParams(), DefaultOSParams()), w, RunOptions{})
+	res, err := Run(p.Cfg, p.YuktaFullSSV(DefaultHWParams(), DefaultOSParams()), w, RunOptions{Faults: noisy})
 	if err != nil {
 		t.Fatal(err)
 	}

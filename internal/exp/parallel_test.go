@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"yukta/internal/pool"
 )
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
@@ -13,7 +15,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 		const n = 37
 		counts := make([]int, n)
 		var mu sync.Mutex
-		err := forEach(workers, n, func(i int) error {
+		err := pool.ForEach(workers, n, func(i int) error {
 			mu.Lock()
 			counts[i]++
 			mu.Unlock()
@@ -28,7 +30,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 			}
 		}
 	}
-	if err := forEach(4, 0, func(int) error { t.Fatal("ran on n=0"); return nil }); err != nil {
+	if err := pool.ForEach(4, 0, func(int) error { t.Fatal("ran on n=0"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -36,7 +38,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 func TestForEachReturnsTheFailingJobsError(t *testing.T) {
 	want := errors.New("job 7 failed")
 	for _, workers := range []int{1, 4} {
-		err := forEach(workers, 20, func(i int) error {
+		err := pool.ForEach(workers, 20, func(i int) error {
 			if i == 7 {
 				return want
 			}
@@ -50,7 +52,7 @@ func TestForEachReturnsTheFailingJobsError(t *testing.T) {
 
 func TestForEachSequentialStopsAtFirstError(t *testing.T) {
 	calls := 0
-	err := forEach(1, 10, func(i int) error {
+	err := pool.ForEach(1, 10, func(i int) error {
 		calls++
 		if i == 3 {
 			return fmt.Errorf("boom")
@@ -66,7 +68,7 @@ func TestForEachParallelReturnsLowestRecordedError(t *testing.T) {
 	// Every job fails; whatever subset runs before the failed flag stops the
 	// rest, the error that comes back must be the lowest-index one recorded —
 	// and since job 0 always runs, that is deterministic here.
-	err := forEach(4, 16, func(i int) error { return fmt.Errorf("err-%02d", i) })
+	err := pool.ForEach(4, 16, func(i int) error { return fmt.Errorf("err-%02d", i) })
 	if err == nil || err.Error() != "err-00" {
 		t.Fatalf("got %v, want err-00", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"yukta/internal/core"
-	"yukta/internal/obs"
 	"yukta/internal/pool"
 )
 
@@ -58,26 +57,13 @@ func (c *Context) workers() int {
 	return runtime.NumCPU()
 }
 
-// forEach runs fn(0) … fn(n-1) on up to workers goroutines and waits for all
-// of them. Each simulation is independent (fresh board, fresh workload clone,
-// per-board seeded RNG), so callers write results into index i of a
-// preallocated slice and assemble them in the original order afterwards —
-// the rendered tables come out byte-identical to a sequential run.
-//
-// The implementation lives in internal/pool (it is shared with the fleet
-// runner); this wrapper keeps the harness call sites unchanged.
-func forEach(workers, n int, fn func(i int) error) error {
-	return pool.ForEach(workers, n, fn)
-}
-
-// forEachMetered is forEach with optional pool instrumentation; see
-// pool.ForEachMetered.
-func forEachMetered(workers, n int, m *obs.Registry, fn func(i int) error) error {
-	return pool.ForEachMetered(workers, n, m, fn)
-}
-
-// forEach is the Context-level fan-out: it uses the context's worker count
-// and its metrics registry (nil when metrics are off).
+// forEach is the Context-level fan-out: it runs fn(0) … fn(n-1) on the
+// context's worker count, metering the pool into its registry (nil when
+// metrics are off). Each simulation is independent (fresh board, fresh
+// workload clone, per-board seeded RNG), so callers write results into index
+// i of a preallocated slice and assemble them in the original order
+// afterwards — the rendered tables come out byte-identical to a sequential
+// run.
 func (c *Context) forEach(n int, fn func(i int) error) error {
 	return pool.ForEachMetered(c.workers(), n, c.Metrics, fn)
 }

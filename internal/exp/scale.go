@@ -17,7 +17,7 @@ import (
 
 // Fleet scaling-curve benchmark: wall-clock and EDP of the event engine
 // (core.FleetRun) and its lockstep reference (core.FleetRunLockstep) versus
-// fleet size, on a done-heavy board mix. Half the boards run
+// fleet size and coordinator-tree depth, on a done-heavy board mix. Half the boards run
 // a short workload that completes in roughly the first quarter of the run
 // and then sits quiescent; the other half run a long workload that never
 // completes before MaxTime. The mix is what separates the engines: both
@@ -41,17 +41,13 @@ const (
 	// reallocation epoch on the event engine). Sequential stepping differs
 	// only by the done-board scan, which is noise next to board physics.
 	scaleWorkers = 4
-	// scaleReps runs each (engine, size) cell this many times and keeps the
-	// fastest wall-clock — standard minimum-of-k timing to shed scheduler
-	// noise. Repetitions alternate lockstep/event so a transient host load
-	// spike lands on both engines instead of biasing one cell. Simulation
-	// outputs are identical across reps by construction.
+	// scaleReps runs each (engine, size, depth) cell this many times and
+	// keeps the fastest wall-clock — standard minimum-of-k timing to shed
+	// scheduler noise. Repetitions interleave a size's cells (lockstep,
+	// event, deeper trees, lockstep, ...) so a transient host load spike
+	// lands on every cell instead of biasing one. Simulation outputs are
+	// identical across reps by construction.
 	scaleReps = 5
-	// treeScaleReps is the minimum-of-k width for the hierarchical points:
-	// the depth axis multiplies the cell count, and the tree points feed a
-	// curve rather than an engine-vs-engine gate, so fewer repetitions
-	// suffice.
-	treeScaleReps = 3
 )
 
 // Engine labels of the scaling report's points.
@@ -88,16 +84,30 @@ func (c *Context) scaleMembers(n int) ([]core.FleetMember, error) {
 	return members, nil
 }
 
-// FleetScalePoint is one (engine, fleet size) measurement.
+// FleetScalePoint is one (engine, fleet size, tree depth) measurement. Every
+// run coordinates its boards through the balanced tree fleet.Uniform(Boards,
+// Depth). Depth 1 is the one-level tree a Topology-less fleet run uses, so the
+// depth-1 points are the engine curve; deeper event points add the hierarchy
+// axis — their EDP delta is the hierarchy's cost or gain, their wall-clock
+// its overhead.
 type FleetScalePoint struct {
 	Engine string `json:"engine"`
 	Boards int    `json:"boards"`
-	// WallMS is the host wall-clock of the fleet run in milliseconds.
+	// Depth is the coordinator tree's level count; Topo its spec and Nodes
+	// its coordinator count.
+	Depth int    `json:"depth"`
+	Topo  string `json:"topo"`
+	Nodes int    `json:"nodes"`
+	// WallMS is the fastest host wall-clock of the fleet run over scaleReps
+	// runs, in milliseconds.
 	WallMS float64 `json:"wall_ms"`
-	// Steps and Reallocations are the simulation's own counters (identical
-	// across engines — the engines differ in wall-clock, never in results).
-	Steps         int `json:"steps"`
-	Reallocations int `json:"reallocations"`
+	// Steps, Reallocations and NodeReallocations are the simulation's own
+	// counters (identical across engines — the engines differ in
+	// wall-clock, never in results); NodeReallocations counts per-node
+	// policy invocations across the whole tree.
+	Steps             int `json:"steps"`
+	Reallocations     int `json:"reallocations"`
+	NodeReallocations int `json:"node_reallocations"`
 	// MakespanS, EnergyJ and EDP summarize the simulated outcome.
 	MakespanS float64 `json:"makespan_s"`
 	EnergyJ   float64 `json:"energy_j"`
@@ -111,49 +121,28 @@ type FleetScalePoint struct {
 	QuiescentFrac float64 `json:"quiescent_frac"`
 }
 
-// FleetTreeScalePoint is one hierarchical measurement of the same done-heavy
-// scale scenario: the fleet run under a balanced coordinator tree
-// (fleet.Uniform) of the given depth, on the event engine. Depth 1 is the
-// single-coordinator tree the flat points run by default, so it must
-// reproduce the flat event point's simulated outcome exactly; deeper trees re-divide the budget
-// recursively, so their EDP may differ — that delta is the hierarchy's cost
-// or gain, and the wall-clock column its overhead.
-type FleetTreeScalePoint struct {
-	Boards int `json:"boards"`
-	// Depth is the coordinator tree's level count; Topo its spec and Nodes
-	// its coordinator count.
-	Depth int    `json:"depth"`
-	Topo  string `json:"topo"`
-	Nodes int    `json:"nodes"`
-	// WallMS is the fastest host wall-clock over treeScaleReps runs.
-	WallMS float64 `json:"wall_ms"`
-	// Steps and Reallocations mirror the flat points; NodeReallocations
-	// counts per-node policy invocations across the whole tree.
-	Steps             int `json:"steps"`
-	Reallocations     int `json:"reallocations"`
-	NodeReallocations int `json:"node_reallocations"`
-	// MakespanS, EnergyJ and EDP summarize the simulated outcome.
-	MakespanS float64 `json:"makespan_s"`
-	EnergyJ   float64 `json:"energy_j"`
-	EDP       float64 `json:"edp_js"`
+// outcome is the point with its host-dependent fields cleared: what the
+// simulation alone determines, on which both engines must agree.
+func (p FleetScalePoint) outcome() FleetScalePoint {
+	p.Engine, p.WallMS = "", 0
+	return p
 }
 
-// FleetScaleReport is the scaling-curve benchmark result across engines and
-// fleet sizes, with enough host context to interpret the wall-clocks.
+// FleetScaleReport is the scaling-curve benchmark result across engines,
+// fleet sizes and tree depths, with enough host context to interpret the
+// wall-clocks.
 type FleetScaleReport struct {
 	GOOS        string  `json:"goos"`
 	GOARCH      string  `json:"goarch"`
 	NumCPU      int     `json:"num_cpu"`
 	Parallelism int     `json:"parallelism"`
+	Date        string  `json:"date"`
 	MaxTimeS    float64 `json:"max_time_s"`
 	Scheme      string  `json:"scheme"`
 	Policy      string  `json:"policy"`
-	// Points holds, for every fleet size, the lockstep point followed by
-	// the event point.
+	// Points holds, for every fleet size, the depth-1 lockstep point, the
+	// depth-1 event point, then one event point per extra tree depth.
 	Points []FleetScalePoint `json:"points"`
-	// TreePoints holds the hierarchical points (FleetScaleTree), ordered by
-	// fleet size then depth; empty for engine-only reports.
-	TreePoints []FleetTreeScalePoint `json:"tree_points,omitempty"`
 }
 
 // scaleParallelism resolves the pool width of one scale run.
@@ -168,6 +157,13 @@ func (c *Context) scaleParallelism() int {
 // default one-level tree, on the named engine: "event" (core.FleetRun) or
 // "lockstep" (core.FleetRunLockstep). BenchmarkFleetStep times it.
 func (c *Context) FleetScaleRun(n int, engine string) (*core.FleetResult, error) {
+	return c.scaleRun(engine, n, 1)
+}
+
+// scaleRun executes the done-heavy scale scenario once under the balanced
+// coordinator tree fleet.Uniform(n, depth), with one fresh feedback policy
+// per tree node, on the named engine.
+func (c *Context) scaleRun(engine string, n, depth int) (*core.FleetResult, error) {
 	run := core.FleetRun
 	switch engine {
 	case scaleEvent:
@@ -175,6 +171,10 @@ func (c *Context) FleetScaleRun(n int, engine string) (*core.FleetResult, error)
 		run = core.FleetRunLockstep
 	default:
 		return nil, fmt.Errorf("exp: unknown engine %q (want %q or %q)", engine, scaleEvent, scaleLockstep)
+	}
+	topo, err := fleet.Uniform(n, depth)
+	if err != nil {
+		return nil, err
 	}
 	members, err := c.scaleMembers(n)
 	if err != nil {
@@ -186,6 +186,7 @@ func (c *Context) FleetScaleRun(n int, engine string) (*core.FleetResult, error)
 			MinW:   DefaultFleetMinCapW,
 			MaxW:   DefaultFleetMaxCapW,
 		},
+		Topology:    topo,
 		TreePolicy:  treePolicyFactory("feedback"),
 		MaxTime:     scaleMaxTime,
 		Parallelism: c.scaleParallelism(),
@@ -193,48 +194,21 @@ func (c *Context) FleetScaleRun(n int, engine string) (*core.FleetResult, error)
 	return run(c.P.Cfg, members, opt)
 }
 
-// fleetScalePair times both engines at one fleet size, interleaving the
-// repetitions (lockstep, event, lockstep, event, ...) and keeping each
-// engine's fastest wall-clock.
-func (c *Context) fleetScalePair(n int) (lock, ev FleetScalePoint, err error) {
-	var lockRes, evRes *core.FleetResult
-	var lockWall, evWall time.Duration
-	for rep := 0; rep < scaleReps; rep++ {
-		start := time.Now()
-		lr, lerr := c.FleetScaleRun(n, scaleLockstep)
-		lw := time.Since(start)
-		if lerr != nil {
-			return lock, ev, fmt.Errorf("exp: fleet scale N=%d lockstep: %w", n, lerr)
-		}
-		if lockRes == nil || lw < lockWall {
-			lockRes, lockWall = lr, lw
-		}
-		start = time.Now()
-		er, eerr := c.FleetScaleRun(n, scaleEvent)
-		ew := time.Since(start)
-		if eerr != nil {
-			return lock, ev, fmt.Errorf("exp: fleet scale N=%d event: %w", n, eerr)
-		}
-		if evRes == nil || ew < evWall {
-			evRes, evWall = er, ew
-		}
-	}
-	lock = makeScalePoint(scaleLockstep, n, lockRes, lockWall)
-	ev = makeScalePoint(scaleEvent, n, evRes, evWall)
-	return lock, ev, nil
-}
-
-// makeScalePoint folds one cell's fastest run into its report row.
+// makeScalePoint folds one run into its report row.
 func makeScalePoint(eng string, n int, res *core.FleetResult, wall time.Duration) FleetScalePoint {
 	pt := FleetScalePoint{
-		Engine:        eng,
-		Boards:        n,
-		WallMS:        float64(wall.Nanoseconds()) / 1e6,
-		Steps:         res.Steps,
-		Reallocations: res.Reallocations,
-		MakespanS:     res.MakespanS,
-		EnergyJ:       res.EnergyJ,
-		EDP:           res.EDP,
+		Engine:            eng,
+		Boards:            n,
+		Depth:             res.Depth,
+		Topo:              res.Topology,
+		Nodes:             res.Nodes,
+		WallMS:            float64(wall.Nanoseconds()) / 1e6,
+		Steps:             res.Steps,
+		Reallocations:     res.Reallocations,
+		NodeReallocations: res.NodeReallocations,
+		MakespanS:         res.MakespanS,
+		EnergyJ:           res.EnergyJ,
+		EDP:               res.EDP,
 	}
 	// Quiescence: a board's physics time advances only while it is stepped,
 	// so TimeS / interval is exactly the number of intervals it executed.
@@ -255,11 +229,13 @@ func makeScalePoint(eng string, n int, res *core.FleetResult, wall time.Duration
 }
 
 // FleetScale runs the scaling-curve benchmark over the given fleet sizes
-// (default {16, 64, 256}): for each size it times the identical done-heavy
-// fleet run on the lockstep and the event engine and cross-checks that the
-// simulated outcomes match exactly — the engines may only differ in
-// wall-clock.
-func (c *Context) FleetScale(ns []int) (*FleetScaleReport, error) {
+// (default {16, 64, 256}). At each size it times the identical done-heavy
+// fleet run on the lockstep and the event engine under the one-level tree,
+// then on the event engine under a balanced tree of every depth ≥ 2 in
+// depths. A size's cells are interleaved rep by rep and each keeps its
+// fastest of scaleReps wall-clocks. The two engines must reproduce each
+// other's simulated outcome exactly — they may only differ in wall-clock.
+func (c *Context) FleetScale(ns, depths []int) (*FleetScaleReport, error) {
 	if len(ns) == 0 {
 		ns = []int{16, 64, 256}
 	}
@@ -268,168 +244,101 @@ func (c *Context) FleetScale(ns []int) (*FleetScaleReport, error) {
 		GOARCH:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
 		Parallelism: c.scaleParallelism(),
+		Date:        time.Now().UTC().Format("2006-01-02"),
 		MaxTimeS:    scaleMaxTime.Seconds(),
 		Scheme:      "coordinated-heuristic",
 		Policy:      "feedback",
 	}
 	for _, n := range ns {
-		lock, ev, err := c.fleetScalePair(n)
-		if err != nil {
-			return nil, err
+		cells := []FleetScalePoint{
+			{Engine: scaleLockstep, Boards: n, Depth: 1},
+			{Engine: scaleEvent, Boards: n, Depth: 1},
 		}
-		if lock.Steps != ev.Steps || lock.EDP != ev.EDP || lock.EnergyJ != ev.EnergyJ ||
-			lock.MakespanS != ev.MakespanS || lock.Reallocations != ev.Reallocations {
-			return nil, fmt.Errorf("exp: engines disagree at N=%d: lockstep %+v vs event %+v", n, lock, ev)
-		}
-		rep.Points = append(rep.Points, lock, ev)
-	}
-	return rep, nil
-}
-
-// fleetTreeScaleRun executes the done-heavy scale scenario once under the
-// given coordinator topology on the event engine, with one fresh feedback
-// policy per tree node.
-func (c *Context) fleetTreeScaleRun(topo *fleet.Topology) (*core.FleetResult, error) {
-	members, err := c.scaleMembers(topo.Boards)
-	if err != nil {
-		return nil, err
-	}
-	opt := core.FleetOptions{
-		Budget: fleet.Budget{
-			TotalW: DefaultFleetBoardBudgetW * float64(topo.Boards),
-			MinW:   DefaultFleetMinCapW,
-			MaxW:   DefaultFleetMaxCapW,
-		},
-		Topology:    topo,
-		TreePolicy:  treePolicyFactory("feedback"),
-		MaxTime:     scaleMaxTime,
-		Parallelism: c.scaleParallelism(),
-	}
-	return core.FleetRun(c.P.Cfg, members, opt)
-}
-
-// fleetTreeScalePoint times the scenario under one topology, keeping the
-// fastest of treeScaleReps wall-clocks.
-func (c *Context) fleetTreeScalePoint(topo *fleet.Topology) (FleetTreeScalePoint, error) {
-	var best *core.FleetResult
-	var bestWall time.Duration
-	for rep := 0; rep < treeScaleReps; rep++ {
-		start := time.Now()
-		res, err := c.fleetTreeScaleRun(topo)
-		wall := time.Since(start)
-		if err != nil {
-			return FleetTreeScalePoint{}, fmt.Errorf("exp: tree scale %q: %w", topo.Spec, err)
-		}
-		if best == nil || wall < bestWall {
-			best, bestWall = res, wall
-		}
-	}
-	return FleetTreeScalePoint{
-		Boards:            topo.Boards,
-		Depth:             topo.Depth,
-		Topo:              topo.Spec,
-		Nodes:             len(topo.Nodes),
-		WallMS:            float64(bestWall.Nanoseconds()) / 1e6,
-		Steps:             best.Steps,
-		Reallocations:     best.Reallocations,
-		NodeReallocations: best.NodeReallocations,
-		MakespanS:         best.MakespanS,
-		EnergyJ:           best.EnergyJ,
-		EDP:               best.EDP,
-	}, nil
-}
-
-// FleetScaleTree extends the scaling benchmark with the hierarchy axis: after
-// the flat engine curve it measures the same scenario under a balanced
-// coordinator tree (fleet.Uniform) at every (fleet size, depth) pair. Depth-1
-// points are cross-checked against the flat event points — an explicit
-// one-level tree must reproduce the default run's simulated outcome exactly; deeper
-// points record the hierarchy's EDP delta and wall-clock overhead. Empty
-// arguments select the FleetScale default sizes and depths {1, 2}.
-func (c *Context) FleetScaleTree(ns, depths []int) (*FleetScaleReport, error) {
-	if len(ns) == 0 {
-		ns = []int{16, 64, 256}
-	}
-	if len(depths) == 0 {
-		depths = []int{1, 2}
-	}
-	rep, err := c.FleetScale(ns)
-	if err != nil {
-		return nil, err
-	}
-	for ni, n := range ns {
-		flat := rep.Points[2*ni+1] // the event point at this size
 		for _, d := range depths {
-			topo, err := fleet.Uniform(n, d)
-			if err != nil {
-				return nil, err
+			if d != 1 {
+				cells = append(cells, FleetScalePoint{Engine: scaleEvent, Boards: n, Depth: d})
 			}
-			pt, err := c.fleetTreeScalePoint(topo)
-			if err != nil {
-				return nil, err
-			}
-			if d == 1 && (pt.Steps != flat.Steps || pt.EDP != flat.EDP ||
-				pt.EnergyJ != flat.EnergyJ || pt.Reallocations != flat.Reallocations) {
-				return nil, fmt.Errorf(
-					"exp: depth-1 tree diverges from flat event run at N=%d: %+v vs %+v", n, pt, flat)
-			}
-			rep.TreePoints = append(rep.TreePoints, pt)
 		}
+		for r := 0; r < scaleReps; r++ {
+			for i, cell := range cells {
+				start := time.Now()
+				res, err := c.scaleRun(cell.Engine, n, cell.Depth)
+				wall := time.Since(start)
+				if err != nil {
+					return nil, fmt.Errorf("exp: fleet scale N=%d depth %d %s: %w", n, cell.Depth, cell.Engine, err)
+				}
+				if pt := makeScalePoint(cell.Engine, n, res, wall); r == 0 || pt.WallMS < cells[i].WallMS {
+					cells[i] = pt
+				}
+			}
+		}
+		if cells[0].outcome() != cells[1].outcome() {
+			return nil, fmt.Errorf("exp: engines disagree at N=%d: lockstep %+v vs event %+v", n, cells[0], cells[1])
+		}
+		rep.Points = append(rep.Points, cells...)
 	}
 	return rep, nil
 }
 
-// TreeGuard is the hierarchical regression gate: it re-runs the done-heavy
-// scale scenario under the given topology spec and checks the outcome
-// against the committed report's matching tree point. The simulation is
-// deterministic, so steps and reallocation counts must match exactly and the
-// EDP to 1e-9 relative (JSON round-trip slack); the wall-clock may drift
-// with the host but not past 5× the committed value.
-func (c *Context) TreeGuard(spec string, committed *FleetScaleReport) error {
-	topo, err := fleet.ParseTopology(spec)
-	if err != nil {
-		return err
-	}
-	want := committed.findTreePoint(topo)
-	if want == nil {
-		return fmt.Errorf("exp: committed report has no tree point for %d boards at depth %d",
-			topo.Boards, topo.Depth)
-	}
-	start := time.Now()
-	res, err := c.fleetTreeScaleRun(topo)
-	if err != nil {
-		return err
-	}
-	wallMS := float64(time.Since(start).Nanoseconds()) / 1e6
-	if res.Steps != want.Steps || res.Reallocations != want.Reallocations ||
-		res.NodeReallocations != want.NodeReallocations {
-		return fmt.Errorf("exp: tree run %q counters diverge from committed point: steps %d/%d reallocs %d/%d node reallocs %d/%d",
-			spec, res.Steps, want.Steps, res.Reallocations, want.Reallocations,
-			res.NodeReallocations, want.NodeReallocations)
-	}
-	if relDiff(res.EDP, want.EDP) > 1e-9 {
-		return fmt.Errorf("exp: tree run %q EDP %.9g diverges from committed %.9g", spec, res.EDP, want.EDP)
-	}
-	if want.WallMS > 0 && wallMS > 5*want.WallMS {
-		return fmt.Errorf("exp: tree run %q took %.1f ms, over 5x the committed %.1f ms",
-			spec, wallMS, want.WallMS)
+// find returns the report's point for (engine, boards, depth), or nil.
+func (r *FleetScaleReport) find(engine string, boards, depth int) *FleetScalePoint {
+	for i := range r.Points {
+		if p := &r.Points[i]; p.Engine == engine && p.Boards == boards && p.Depth == depth {
+			return p
+		}
 	}
 	return nil
 }
 
-// findTreePoint locates the committed point a guard run compares against:
-// an exact topology-spec match wins, else the first point with the same
-// board count and depth (fleet.Uniform and the AxB shorthand generate
-// identical balanced shapes under different spec strings).
-func (r *FleetScaleReport) findTreePoint(topo *fleet.Topology) *FleetTreeScalePoint {
-	for i := range r.TreePoints {
-		if r.TreePoints[i].Topo == topo.Spec {
-			return &r.TreePoints[i]
-		}
+// Guard is the scaling benchmark's regression gate: it checks a freshly
+// measured report r against a committed one (BENCH_evloop.json).
+//
+// At r's largest fleet size the scenario must be meaningfully done-heavy
+// (≥25% quiescent board-intervals) and the event engine strictly faster
+// than lockstep. Smaller sizes are not gated there — at small N both
+// engines are dominated by board physics and the difference is noise-level.
+//
+// Every point of r must also match the committed point with the same
+// (engine, boards, depth). The simulation is deterministic, so steps and
+// reallocation counts must match exactly and the EDP to 1e-9 relative (JSON
+// round-trip slack); the wall-clock may drift with the host but not past 5×
+// the committed value.
+func (r *FleetScaleReport) Guard(committed *FleetScaleReport) error {
+	n := 0
+	for _, p := range r.Points {
+		n = max(n, p.Boards)
 	}
-	for i := range r.TreePoints {
-		if r.TreePoints[i].Boards == topo.Boards && r.TreePoints[i].Depth == topo.Depth {
-			return &r.TreePoints[i]
+	lock, ev := r.find(scaleLockstep, n, 1), r.find(scaleEvent, n, 1)
+	if lock == nil || ev == nil {
+		return fmt.Errorf("exp: scale report has no depth-1 engine pair at its largest size N=%d", n)
+	}
+	if ev.QuiescentFrac < 0.25 {
+		return fmt.Errorf("exp: scale scenario at N=%d is only %.1f%% quiescent, want ≥25%%",
+			n, 100*ev.QuiescentFrac)
+	}
+	if ev.WallMS >= lock.WallMS {
+		return fmt.Errorf("exp: event engine not faster at N=%d: %.1f ms vs lockstep %.1f ms",
+			n, ev.WallMS, lock.WallMS)
+	}
+	for _, p := range r.Points {
+		want := committed.find(p.Engine, p.Boards, p.Depth)
+		if want == nil {
+			return fmt.Errorf("exp: committed report has no %s point for %d boards at depth %d",
+				p.Engine, p.Boards, p.Depth)
+		}
+		if p.Steps != want.Steps || p.Reallocations != want.Reallocations ||
+			p.NodeReallocations != want.NodeReallocations {
+			return fmt.Errorf("exp: %s N=%d depth %d counters diverge from committed point: steps %d/%d reallocs %d/%d node reallocs %d/%d",
+				p.Engine, p.Boards, p.Depth, p.Steps, want.Steps, p.Reallocations, want.Reallocations,
+				p.NodeReallocations, want.NodeReallocations)
+		}
+		if relDiff(p.EDP, want.EDP) > 1e-9 {
+			return fmt.Errorf("exp: %s N=%d depth %d EDP %.9g diverges from committed %.9g",
+				p.Engine, p.Boards, p.Depth, p.EDP, want.EDP)
+		}
+		if want.WallMS > 0 && p.WallMS > 5*want.WallMS {
+			return fmt.Errorf("exp: %s N=%d depth %d took %.1f ms, over 5x the committed %.1f ms",
+				p.Engine, p.Boards, p.Depth, p.WallMS, want.WallMS)
 		}
 	}
 	return nil
@@ -462,30 +371,6 @@ func ReadFleetScaleReport(path string) (*FleetScaleReport, error) {
 	return &r, nil
 }
 
-// Check enforces the scaling gate on the report's largest fleet size: the
-// scenario must be meaningfully done-heavy (≥25% quiescent board-intervals)
-// and the event engine must be strictly faster than lockstep there. Smaller
-// sizes are reported but not gated — at small N both engines are dominated
-// by board physics and the difference is noise-level.
-func (r *FleetScaleReport) Check() error {
-	if len(r.Points) < 2 {
-		return fmt.Errorf("exp: scale report has no points")
-	}
-	lock, ev := r.Points[len(r.Points)-2], r.Points[len(r.Points)-1]
-	if lock.Engine != scaleLockstep || ev.Engine != scaleEvent || lock.Boards != ev.Boards {
-		return fmt.Errorf("exp: malformed scale report tail: %+v, %+v", lock, ev)
-	}
-	if ev.QuiescentFrac < 0.25 {
-		return fmt.Errorf("exp: scale scenario at N=%d is only %.1f%% quiescent, want ≥25%%",
-			ev.Boards, 100*ev.QuiescentFrac)
-	}
-	if ev.WallMS >= lock.WallMS {
-		return fmt.Errorf("exp: event engine not faster at N=%d: %.1f ms vs lockstep %.1f ms",
-			ev.Boards, ev.WallMS, lock.WallMS)
-	}
-	return nil
-}
-
 // WriteJSON writes the report as indented JSON.
 func (r *FleetScaleReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -493,71 +378,36 @@ func (r *FleetScaleReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Render draws the scaling curve as an aligned table with the event/lockstep
-// speedup per fleet size.
+// Render draws the scaling curve as one aligned table. Each row's speedup
+// and EDP are relative to the depth-1 event row at the same fleet size.
 func (r *FleetScaleReport) Render() string {
 	tab := &series.Table{Header: []string{
-		"boards", "engine", "wall ms", "speedup", "steps", "quiescent", "done boards", "EDP J·s"}}
-	for i := 0; i < len(r.Points); i += 2 {
-		lock, ev := r.Points[i], r.Points[i+1]
-		tab.AddRow(fmt.Sprintf("%d", lock.Boards), lock.Engine,
-			fmt.Sprintf("%.1f", lock.WallMS), "1.00",
-			fmt.Sprintf("%d", lock.Steps),
-			fmt.Sprintf("%.0f%%", 100*lock.QuiescentFrac),
-			fmt.Sprintf("%.0f%%", 100*lock.DoneBoardFrac),
-			fmt.Sprintf("%.0f", lock.EDP))
-		speedup := 0.0
-		if ev.WallMS > 0 {
-			speedup = lock.WallMS / ev.WallMS
+		"boards", "engine", "depth", "nodes", "wall ms", "speedup", "steps",
+		"node reallocs", "quiescent", "done boards", "EDP J·s", "EDP vs event"}}
+	for i, p := range r.Points {
+		boards := ""
+		if i == 0 || r.Points[i-1].Boards != p.Boards {
+			boards = fmt.Sprintf("%d", p.Boards)
 		}
-		tab.AddRow("", ev.Engine,
-			fmt.Sprintf("%.1f", ev.WallMS), fmt.Sprintf("%.2f", speedup),
-			fmt.Sprintf("%d", ev.Steps),
-			fmt.Sprintf("%.0f%%", 100*ev.QuiescentFrac),
-			fmt.Sprintf("%.0f%%", 100*ev.DoneBoardFrac),
-			fmt.Sprintf("%.0f", ev.EDP))
-	}
-	var sb stringsBuilder
-	fmt.Fprintf(&sb, "Fleet scaling curve (%s/%s, %d CPUs, parallelism %d, %s scheme, %s policy, %.0f s simulated)\n",
-		r.GOOS, r.GOARCH, r.NumCPU, r.Parallelism, r.Scheme, r.Policy, r.MaxTimeS)
-	tab.Render(&sb)
-	if len(r.TreePoints) > 0 {
-		sb.WriteString("\n")
-		sb.WriteString(r.renderTreePoints())
-	}
-	return sb.String()
-}
-
-// renderTreePoints draws the hierarchical points as a second table, with each
-// point's EDP and wall-clock relative to the flat event point at the same
-// fleet size (when the report contains one).
-func (r *FleetScaleReport) renderTreePoints() string {
-	flatWall := map[int]float64{}
-	flatEDP := map[int]float64{}
-	for _, p := range r.Points {
-		if p.Engine == scaleEvent {
-			flatWall[p.Boards] = p.WallMS
-			flatEDP[p.Boards] = p.EDP
+		speedup, edpRel := "-", "-"
+		if ev := r.find(scaleEvent, p.Boards, 1); ev != nil {
+			if p.WallMS > 0 {
+				speedup = fmt.Sprintf("%.2f", ev.WallMS/p.WallMS)
+			}
+			if ev.EDP != 0 {
+				edpRel = fmt.Sprintf("%+.3f%%", 100*(p.EDP-ev.EDP)/ev.EDP)
+			}
 		}
-	}
-	tab := &series.Table{Header: []string{
-		"boards", "depth", "topology", "nodes", "wall ms", "vs flat", "node reallocs", "EDP J·s", "EDP vs flat"}}
-	for _, p := range r.TreePoints {
-		wallRel, edpRel := "-", "-"
-		if w := flatWall[p.Boards]; w > 0 && p.WallMS > 0 {
-			wallRel = fmt.Sprintf("%.2fx", p.WallMS/w)
-		}
-		if e := flatEDP[p.Boards]; e > 0 {
-			edpRel = fmt.Sprintf("%+.3f%%", 100*(p.EDP-e)/e)
-		}
-		tab.AddRow(fmt.Sprintf("%d", p.Boards), fmt.Sprintf("%d", p.Depth),
-			p.Topo, fmt.Sprintf("%d", p.Nodes),
-			fmt.Sprintf("%.1f", p.WallMS), wallRel,
-			fmt.Sprintf("%d", p.NodeReallocations),
+		tab.AddRow(boards, p.Engine, fmt.Sprintf("%d", p.Depth), fmt.Sprintf("%d", p.Nodes),
+			fmt.Sprintf("%.1f", p.WallMS), speedup,
+			fmt.Sprintf("%d", p.Steps), fmt.Sprintf("%d", p.NodeReallocations),
+			fmt.Sprintf("%.0f%%", 100*p.QuiescentFrac),
+			fmt.Sprintf("%.0f%%", 100*p.DoneBoardFrac),
 			fmt.Sprintf("%.0f", p.EDP), edpRel)
 	}
 	var sb stringsBuilder
-	sb.WriteString("Hierarchical coordinator points (event engine, balanced trees, feedback policy per node)\n")
+	fmt.Fprintf(&sb, "Fleet scaling curve (%s/%s, %d CPUs, parallelism %d, %s scheme, %s policy per tree node, %.0f s simulated)\n",
+		r.GOOS, r.GOARCH, r.NumCPU, r.Parallelism, r.Scheme, r.Policy, r.MaxTimeS)
 	tab.Render(&sb)
 	return sb.String()
 }

@@ -7,37 +7,42 @@ import (
 	"testing"
 )
 
-// TestFleetScaleTree runs the hierarchical scaling benchmark at one small
-// size and pins its contract: the depth-1 point reproduces the flat event
-// point exactly (enforced internally, re-checked here), deeper points carry
-// the tree metadata, the report round-trips through JSON, and TreeGuard
-// accepts the fresh report while rejecting tampered or uncovered points.
+// TestFleetScaleTree runs the scaling benchmark at one small size over depths
+// {1, 2} and pins its contract: the lockstep and event depth-1 points agree
+// on every simulated field, the depth-2 point carries the tree metadata, the
+// report round-trips through JSON, and Guard accepts a re-run while
+// rejecting tampered outcomes, uncovered sizes and a lost engine speedup.
 func TestFleetScaleTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated fleet runs; skipped in -short")
 	}
 	c := testContext(t)
-	rep, err := c.FleetScaleTree([]int{9}, []int{1, 2})
+	rep, err := c.FleetScale([]int{9}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 2 || len(rep.TreePoints) != 2 {
-		t.Fatalf("report has %d flat / %d tree points, want 2/2", len(rep.Points), len(rep.TreePoints))
+	if len(rep.Points) != 3 {
+		t.Fatalf("report has %d points, want 3 (lockstep, event, depth-2 event)", len(rep.Points))
 	}
-	flat, d1, d2 := rep.Points[1], rep.TreePoints[0], rep.TreePoints[1]
-	if d1.Depth != 1 || d1.Nodes != 1 || d1.EDP != flat.EDP || d1.Steps != flat.Steps {
-		t.Fatalf("depth-1 point diverges from flat event point: %+v vs %+v", d1, flat)
+	lock, ev, d2 := rep.Points[0], rep.Points[1], rep.Points[2]
+	if lock.Engine != scaleLockstep || ev.Engine != scaleEvent || lock.Depth != 1 || ev.Depth != 1 {
+		t.Fatalf("depth-1 engine pair malformed: %+v, %+v", lock, ev)
 	}
-	if d2.Depth != 2 || d2.Nodes <= 1 || d2.Boards != 9 {
+	if lock.outcome() != ev.outcome() {
+		t.Fatalf("engines disagree at depth 1: %+v vs %+v", lock, ev)
+	}
+	if ev.Nodes != 1 || ev.Steps == 0 {
+		t.Fatalf("depth-1 point malformed: %+v", ev)
+	}
+	if d2.Engine != scaleEvent || d2.Depth != 2 || d2.Nodes <= 1 || d2.Boards != 9 {
 		t.Fatalf("depth-2 point malformed: %+v", d2)
 	}
 	if d2.NodeReallocations <= d2.Reallocations {
 		t.Fatalf("depth-2 node reallocations %d should exceed realloc instants %d",
 			d2.NodeReallocations, d2.Reallocations)
 	}
-	out := rep.Render()
-	if !strings.Contains(out, "Hierarchical coordinator points") || !strings.Contains(out, d2.Topo) {
-		t.Fatalf("render missing tree table:\n%s", out)
+	if out := rep.Render(); !strings.Contains(out, "node reallocs") || !strings.Contains(out, "EDP vs event") {
+		t.Fatalf("render missing columns:\n%s", out)
 	}
 
 	path := filepath.Join(t.TempDir(), "bench.json")
@@ -55,22 +60,41 @@ func TestFleetScaleTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(committed.TreePoints) != 2 || committed.TreePoints[1] != d2 {
-		t.Fatalf("JSON round-trip lost tree points: %+v", committed.TreePoints)
+	if len(committed.Points) != 3 || committed.Points[2] != d2 {
+		t.Fatalf("JSON round-trip lost points: %+v", committed.Points)
 	}
 
-	// Uniform(9, 2) is the balanced 3×3 tree, so the shorthand spec must
-	// resolve to the same committed point via the boards+depth fallback.
-	if err := c.TreeGuard("3x3", committed); err != nil {
-		t.Fatalf("guard rejected a byte-identical re-run: %v", err)
+	rerun, err := c.FleetScale([]int{9}, []int{2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tampered := *committed
-	tampered.TreePoints = append([]FleetTreeScalePoint(nil), committed.TreePoints...)
-	tampered.TreePoints[1].EDP *= 1.001
-	if err := c.TreeGuard("3x3", &tampered); err == nil {
-		t.Fatal("guard accepted a tampered EDP")
+	if err := rerun.Guard(committed); err != nil {
+		t.Fatalf("guard rejected a re-run: %v", err)
 	}
-	if err := c.TreeGuard("2x2", committed); err == nil {
-		t.Fatal("guard accepted a topology with no committed point")
+
+	tamper := func(edit func(*FleetScalePoint)) *FleetScaleReport {
+		r := *committed
+		r.Points = append([]FleetScalePoint(nil), committed.Points...)
+		edit(&r.Points[2])
+		return &r
+	}
+	slow := *rerun
+	slow.Points = append([]FleetScalePoint(nil), rerun.Points...)
+	slow.Points[1].WallMS = slow.Points[0].WallMS
+	for _, tc := range []struct {
+		name      string
+		fresh     *FleetScaleReport
+		committed *FleetScaleReport
+		want      string
+	}{
+		{"tampered EDP", rerun, tamper(func(p *FleetScalePoint) { p.EDP *= 1.001 }), "EDP"},
+		{"tampered steps", rerun, tamper(func(p *FleetScalePoint) { p.Steps++ }), "counters diverge"},
+		{"uncovered size", rerun, &FleetScaleReport{}, "committed report has no"},
+		{"no event speedup", &slow, committed, "event engine not faster"},
+	} {
+		err := tc.fresh.Guard(tc.committed)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: guard returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"yukta/internal/core"
 	"yukta/internal/fault"
 	"yukta/internal/obs"
+	"yukta/internal/pool"
 	"yukta/internal/workload"
 )
 
@@ -135,14 +136,14 @@ func TestTraceMatchesAggregates(t *testing.T) {
 	}
 }
 
-// TestMetricsUnderPool hammers forEachMetered with a registry and checks the
+// TestMetricsUnderPool hammers pool.ForEachMetered with a registry and checks the
 // pool accounting is exact; run under -race this also exercises the registry
 // for data races.
 func TestMetricsUnderPool(t *testing.T) {
 	reg := obs.NewRegistry()
 	const n = 200
 	var ran atomic.Int64
-	err := forEachMetered(8, n, reg, func(i int) error {
+	err := pool.ForEachMetered(8, n, reg, func(i int) error {
 		ran.Add(1)
 		reg.Histogram("work", obs.LatencyBucketsUS()).Observe(float64(i))
 		return nil
