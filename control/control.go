@@ -61,8 +61,16 @@ func Identify(d *Dataset, ord Orders, ts float64) (*Model, error) {
 // Synthesize runs the SSV design loop of §II-C: propose candidates, evaluate
 // the closed loop's structured singular value against the declared
 // uncertainty, bounds and weights, and return the most aggressive certified
-// candidate.
-func Synthesize(spec *Spec) (*Controller, error) { return robust.Synthesize(spec) }
+// candidate. A certified design (SSV <= 1) also reports the μ lower bound
+// (Report.SSVLower).
+func Synthesize(spec *Spec) (*Controller, error) {
+	ctl, err := robust.Synthesize(spec)
+	if err != nil {
+		return nil, err
+	}
+	robust.FillSSVLower(spec, ctl)
+	return ctl, nil
+}
 
 // SynthesizeLQG builds the §VI-B LQG baseline from the same specification
 // (bounds act only as inverse output weights; no robustness certificate).

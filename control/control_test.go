@@ -43,6 +43,10 @@ func TestPublicDesignFlow(t *testing.T) {
 	if ctl.Report.SSV > 1 {
 		t.Fatalf("SSV %.2f > 1 on an easy SISO plant", ctl.Report.SSV)
 	}
+	// A certified design reports the μ bracket [SSVLower, SSV].
+	if lo := ctl.Report.SSVLower; lo <= 0 || lo > ctl.Report.SSV*(1+1e-9) {
+		t.Fatalf("SSVLower %v outside (0, SSV = %v]", lo, ctl.Report.SSV)
+	}
 	rt, err := NewRuntime(RuntimeConfig{
 		Controller:     ctl,
 		OutputScales:   []Scaling{{Min: -2, Max: 2}},

@@ -59,17 +59,18 @@ func (p *Platform) hwValidationScore(ctl *robust.Controller) (exd float64, emerg
 
 // SynthesizeHWSSVValidated runs the full design flow for the hardware
 // controller: synthesize candidates along the penalty ladder, validate each
-// on the (simulated) board, and keep the best-measured design.
+// on the (simulated) board, and keep the best-measured design, whose report
+// then gets its SSV lower bound.
 func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, error) {
-	var best *robust.Controller
+	var best, fallback *robust.Controller
+	var bestPen, fallbackPen float64
 	bestScore := math.Inf(1)
-	var fallback *robust.Controller
 	for _, pen := range validationPenalties {
 		ctl, err := p.synthesizeHWSSVAt(hp, pen)
 		if err != nil {
 			continue
 		}
-		fallback = ctl
+		fallback, fallbackPen = ctl, pen
 		exd, emg, err := p.hwValidationScore(ctl)
 		if err != nil {
 			continue
@@ -78,15 +79,17 @@ func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, er
 			continue
 		}
 		if exd < bestScore {
-			best, bestScore = ctl, exd
+			best, bestPen, bestScore = ctl, pen, exd
 		}
 	}
 	if best == nil {
 		if fallback == nil {
 			return nil, fmt.Errorf("core: HW SSV validated synthesis failed at every penalty")
 		}
-		return fallback, nil
+		best, bestPen = fallback, fallbackPen
 	}
+	// The reported lower bound is swept once, for the design that is kept.
+	robust.FillSSVLower(p.hwSpec(hp, bestPen), best)
 	return best, nil
 }
 
@@ -128,17 +131,18 @@ func (p *Platform) osValidationScore(ctl, hwCtl *robust.Controller) (exd float64
 }
 
 // SynthesizeOSSSVValidated runs the full design flow for the software
-// controller against an already-validated hardware controller.
+// controller against an already-validated hardware controller; as for the
+// hardware controller, only the design it keeps gets its SSV lower bound.
 func (p *Platform) SynthesizeOSSSVValidated(op OSParams, hwCtl *robust.Controller) (*robust.Controller, error) {
-	var best *robust.Controller
+	var best, fallback *robust.Controller
+	var bestPen, fallbackPen float64
 	bestScore := math.Inf(1)
-	var fallback *robust.Controller
 	for _, pen := range validationPenalties {
 		ctl, err := p.synthesizeOSSSVAt(op, pen)
 		if err != nil {
 			continue
 		}
-		fallback = ctl
+		fallback, fallbackPen = ctl, pen
 		exd, emg, err := p.osValidationScore(ctl, hwCtl)
 		if err != nil {
 			continue
@@ -147,14 +151,16 @@ func (p *Platform) SynthesizeOSSSVValidated(op OSParams, hwCtl *robust.Controlle
 			continue
 		}
 		if exd < bestScore {
-			best, bestScore = ctl, exd
+			best, bestPen, bestScore = ctl, pen, exd
 		}
 	}
 	if best == nil {
 		if fallback == nil {
 			return nil, fmt.Errorf("core: OS SSV validated synthesis failed at every penalty")
 		}
-		return fallback, nil
+		best, bestPen = fallback, fallbackPen
 	}
+	// The reported lower bound is swept once, for the design that is kept.
+	robust.FillSSVLower(p.osSpec(op, bestPen), best)
 	return best, nil
 }

@@ -221,45 +221,63 @@ func CInverse(a *CMatrix) (*CMatrix, error) {
 // m, computed by power iteration on m^H m. For the small matrices used here
 // (dimension < 50) this converges in a handful of iterations.
 func CMaxSingularValue(m *CMatrix) float64 {
+	var w CMaxSVWork
+	return w.MaxSingularValue(m)
+}
+
+// CMaxSVWork is reusable scratch for MaxSingularValue: once it has grown to
+// a matrix's size, further calls on matrices no larger allocate nothing. The
+// zero value is ready to use. A CMaxSVWork must not be shared between
+// goroutines.
+type CMaxSVWork struct {
+	buf []complex128
+}
+
+// MaxSingularValue is CMaxSingularValue computed in w's scratch space; the
+// result does not depend on what w held before.
+func (w *CMaxSVWork) MaxSingularValue(m *CMatrix) float64 {
 	if m.rows == 0 || m.cols == 0 {
 		return 0
 	}
-	h := m.ConjT().Mul(m) // n×n Hermitian positive semidefinite
-	n := h.rows
+	n := m.cols
+	if need := n*n + 2*n; cap(w.buf) < need {
+		w.buf = make([]complex128, need)
+	}
+	h := w.buf[:n*n] // n×n Hermitian positive semidefinite m^H m
+	v := w.buf[n*n : n*n+n]
+	next := w.buf[n*n+n : n*n+2*n]
+	// h = m^H m, accumulated in the loop order of m.ConjT().Mul(m),
+	// including its skip of zero factors.
+	clear(h)
+	for i := 0; i < n; i++ {
+		hrow := h[i*n : (i+1)*n]
+		for k := 0; k < m.rows; k++ {
+			mv := cmplx.Conj(m.data[k*m.cols+i])
+			if mv == 0 {
+				continue
+			}
+			for j, bv := range m.data[k*m.cols : (k+1)*m.cols] {
+				hrow[j] += mv * bv
+			}
+		}
+	}
 	// Deterministic start vector with nonzero projection on the dominant
 	// eigenvector in all but adversarial cases; perturb on stagnation.
-	v := make([]complex128, n)
 	for i := range v {
 		v[i] = complex(1+float64(i%3), float64(i%2))
 	}
-	normalize := func(v []complex128) float64 {
-		var s float64
-		for _, x := range v {
-			s += real(x)*real(x) + imag(x)*imag(x)
-		}
-		nrm := math.Sqrt(s)
-		if nrm == 0 {
-			return 0
-		}
-		for i := range v {
-			v[i] /= complex(nrm, 0)
-		}
-		return nrm
-	}
-	normalize(v)
+	normalizeC(v)
 	lambda := 0.0
 	for iter := 0; iter < 500; iter++ {
-		w := make([]complex128, n)
 		for i := 0; i < n; i++ {
 			var s complex128
-			row := h.data[i*n : (i+1)*n]
-			for j, hv := range row {
+			for j, hv := range h[i*n : (i+1)*n] {
 				s += hv * v[j]
 			}
-			w[i] = s
+			next[i] = s
 		}
-		nl := normalize(w)
-		v = w
+		nl := normalizeC(next)
+		v, next = next, v
 		if nl == 0 {
 			return 0
 		}
@@ -270,4 +288,24 @@ func CMaxSingularValue(m *CMatrix) float64 {
 		lambda = nl
 	}
 	return math.Sqrt(lambda)
+}
+
+// normalizeC scales v to unit 2-norm in place and returns the norm it had
+// (leaving v untouched when that norm is 0). Dividing each part by the real
+// norm gives the values complex division by complex(nrm, 0) gives, without
+// the runtime call; at most the sign of a zero part differs, which cannot
+// change the σ_max computed from it.
+func normalizeC(v []complex128) float64 {
+	var s float64
+	for _, x := range v {
+		s += real(x)*real(x) + imag(x)*imag(x)
+	}
+	nrm := math.Sqrt(s)
+	if nrm == 0 {
+		return 0
+	}
+	for i, x := range v {
+		v[i] = complex(real(x)/nrm, imag(x)/nrm)
+	}
+	return nrm
 }

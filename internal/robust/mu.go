@@ -3,9 +3,11 @@ package robust
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 
 	"yukta/internal/lti"
 	"yukta/internal/mat"
+	"yukta/internal/pool"
 )
 
 // MuUpperBound returns an upper bound on the structured singular value μ(M)
@@ -49,17 +51,19 @@ func MuUpperBound(m *mat.CMatrix) float64 {
 			d[i] = math.Sqrt(u[i] / v[i])
 		}
 	}
+	// One scaled-matrix buffer and one σ_max workspace serve every trial.
+	dm := mat.CZeros(n, n)
+	var sv mat.CMaxSVWork
 	scaled := func(d []float64) float64 {
-		dm := m.Clone()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				dm.Set(i, j, dm.At(i, j)*complex(d[i]/d[j], 0))
+				dm.Set(i, j, m.At(i, j)*complex(d[i]/d[j], 0))
 			}
 		}
-		return mat.CMaxSingularValue(dm)
+		return sv.MaxSingularValue(dm)
 	}
 	best := scaled(d)
-	if plain := mat.CMaxSingularValue(m); plain < best {
+	if plain := sv.MaxSingularValue(m); plain < best {
 		// Identity scaling is sometimes better than Perron for complex M.
 		for i := range d {
 			d[i] = 1
@@ -68,11 +72,11 @@ func MuUpperBound(m *mat.CMatrix) float64 {
 	}
 	// Cyclic coordinate descent with multiplicative steps.
 	step := 1.5
+	trial := make([]float64, n)
 	for pass := 0; pass < 30 && step > 1.001; pass++ {
 		improved := false
 		for i := 0; i < n; i++ {
-			for _, f := range []float64{step, 1 / step} {
-				trial := make([]float64, n)
+			for _, f := range [2]float64{step, 1 / step} {
 				copy(trial, d)
 				trial[i] *= f
 				if s := scaled(trial); s < best-1e-12 {
@@ -97,8 +101,9 @@ func perronVector(a *mat.Matrix) []float64 {
 	for i := range v {
 		v[i] = 1
 	}
+	w := make([]float64, n)
 	for iter := 0; iter < 200; iter++ {
-		w := a.MulVec(v)
+		w = a.MulVecTo(w, v)
 		var s float64
 		for _, x := range w {
 			s += math.Abs(x)
@@ -111,7 +116,7 @@ func perronVector(a *mat.Matrix) []float64 {
 			w[i] /= s
 			diff += math.Abs(w[i] - v[i])
 		}
-		v = w
+		v, w = w, v
 		if diff < 1e-13 {
 			break
 		}
@@ -124,33 +129,53 @@ func perronVector(a *mat.Matrix) []float64 {
 // points (plus DC and Nyquist). It is the quantity the SSV synthesis loop
 // drives below 1.
 func SystemMu(sys *lti.StateSpace, nGrid int) (float64, error) {
-	_, hi, err := SystemMuBounds(sys, nGrid, false)
-	return hi, err
+	return gridPeak(sys, nGrid, MuUpperBound)
+}
+
+// SystemMuLower returns the peak of MuLowerBound over the same frequency
+// grid as SystemMu: the lower end of the bracket, computed without the
+// upper-bound sweep.
+func SystemMuLower(sys *lti.StateSpace, nGrid int) (float64, error) {
+	return gridPeak(sys, nGrid, MuLowerBound)
 }
 
 // SystemMuBounds returns lower and upper bounds on the peak structured
 // singular value of sys over the unit circle (the pair MATLAB's mussv
-// reports). The lower bound is skipped (returned as 0) unless withLower is
-// set, since the power iteration is several times more expensive than the
-// upper bound.
-func SystemMuBounds(sys *lti.StateSpace, nGrid int, withLower bool) (lo, hi float64, err error) {
+// reports).
+func SystemMuBounds(sys *lti.StateSpace, nGrid int) (lo, hi float64, err error) {
+	if lo, err = SystemMuLower(sys, nGrid); err == nil {
+		hi, err = SystemMu(sys, nGrid)
+	}
+	return lo, hi, err
+}
+
+// gridPeak evaluates bound on G(e^{jθ}) at θ = πi/nGrid for i = 0…nGrid and
+// returns the largest value, or +Inf when sys has a pole on the unit circle.
+// The points are spread over GOMAXPROCS workers; each writes its own slot
+// and the maximum is taken serially in index order, so the result has the
+// same bits at any parallelism.
+func gridPeak(sys *lti.StateSpace, nGrid int, bound func(*mat.CMatrix) float64) (float64, error) {
 	if nGrid < 8 {
 		nGrid = 8
 	}
-	for i := 0; i <= nGrid; i++ {
+	vals := make([]float64, nGrid+1)
+	err := pool.ForEach(runtime.GOMAXPROCS(0), len(vals), func(i int) error {
 		theta := math.Pi * float64(i) / float64(nGrid)
 		g, err := sys.Evaluate(cmplx.Exp(complex(0, theta)))
 		if err != nil {
-			return math.Inf(1), math.Inf(1), nil // pole on the unit circle
+			return err
 		}
-		if v := MuUpperBound(g); v > hi {
-			hi = v
-		}
-		if withLower {
-			if v := MuLowerBound(g); v > lo {
-				lo = v
-			}
+		vals[i] = bound(g)
+		return nil
+	})
+	if err != nil {
+		return math.Inf(1), nil // pole on the unit circle
+	}
+	peak := 0.0
+	for _, v := range vals {
+		if v > peak {
+			peak = v
 		}
 	}
-	return lo, hi, nil
+	return peak, nil
 }

@@ -26,6 +26,11 @@ func MuLowerBound(m *mat.CMatrix) float64 {
 		return cmplx.Abs(m.At(0, 0))
 	}
 	best := 0.0
+	// Scratch reused by every restart and iteration: the iterate b and its
+	// successor next (swapped each step), M b, and the certified U M.
+	b, next := make([]complex128, n), make([]complex128, n)
+	a := make([]complex128, n)
+	um := mat.CZeros(n, n)
 	// Several deterministic restarts: the power iteration for μ is not
 	// globally convergent, so restart from varied phase patterns. Each
 	// restart's candidate is *certified* by evaluating ρ(U M) for the
@@ -34,28 +39,24 @@ func MuLowerBound(m *mat.CMatrix) float64 {
 	// bound (μ(M) = max over diagonal unitary U of ρ(U M) for this
 	// structure), even when the iteration has not converged.
 	for restart := 0; restart < 4; restart++ {
-		b := make([]complex128, n)
 		for i := range b {
 			theta := 2 * math.Pi * float64(i*(restart+1)) / float64(n+1)
 			b[i] = cmplx.Exp(complex(0, theta))
 		}
 		normalizeVec(b)
-		var a []complex128
 		for iter := 0; iter < 60; iter++ {
 			// a = M b, then align the uncertainty phases and iterate with
 			// b ← normalized phase-aligned a.
-			a = mulVec(m, b)
+			mulVecTo(a, m, b)
 			if vecNorm(a) == 0 {
 				break
 			}
-			next := make([]complex128, n)
 			for i := range next {
 				ph := cmplx.Conj(phase(a[i]) * cmplx.Conj(phase(b[i])))
 				next[i] = a[i] * ph
 			}
 			normalizeVec(next)
 			// Certify this iterate: U aligns M's output phases back onto b.
-			um := m.Clone()
 			for i := 0; i < n; i++ {
 				u := phase(b[i]) * cmplx.Conj(phase(a[i]))
 				for j := 0; j < n; j++ {
@@ -69,7 +70,7 @@ func MuLowerBound(m *mat.CMatrix) float64 {
 			for i := range b {
 				diff += cmplx.Abs(next[i] - b[i])
 			}
-			b = next
+			b, next = next, b
 			if diff < 1e-9 {
 				break
 			}
@@ -110,9 +111,9 @@ func phase(v complex128) complex128 {
 	return v / complex(a, 0)
 }
 
-func mulVec(m *mat.CMatrix, v []complex128) []complex128 {
+// mulVecTo sets out = m v for square m.
+func mulVecTo(out []complex128, m *mat.CMatrix, v []complex128) {
 	n := m.Rows()
-	out := make([]complex128, n)
 	for i := 0; i < n; i++ {
 		var s complex128
 		for j := 0; j < n; j++ {
@@ -120,7 +121,6 @@ func mulVec(m *mat.CMatrix, v []complex128) []complex128 {
 		}
 		out[i] = s
 	}
-	return out
 }
 
 func vecNorm(v []complex128) float64 {

@@ -61,8 +61,12 @@ type Report struct {
 	// loop; robustness requires SSV <= 1 (min(s) = 1/SSV >= 1).
 	SSV float64
 	// SSVLower is the power-iteration lower bound on the same quantity;
-	// together with SSV it brackets the true structured singular value
-	// (0 when the lower bound was not computed).
+	// together with SSV it brackets the true structured singular value.
+	// It is for reporting only (no design step reads it) and is filled by
+	// FillSSVLower, for certified designs (SSV <= 1) only: control.Synthesize
+	// and the platform's validated controllers fill it, while Synthesize
+	// itself and the platform's un-validated SynthesizeHWSSV and
+	// SynthesizeOSSSV leave it 0.
 	SSVLower float64
 	// MinS is 1/SSV, the paper's worst-case scaling factor min(s).
 	MinS float64
@@ -169,6 +173,11 @@ func (s *Spec) resolveTargetScales() []float64 {
 // candidate is returned along with the (degraded) bounds it can guarantee —
 // the behaviour the paper describes when the designer's Δ/B/W are too
 // demanding.
+//
+// Synthesize leaves Report.SSVLower at 0: the lower-bound sweep costs about
+// as much as a candidate, and a caller that evaluates several ladders (the
+// platform's validation stage) pays it once, through FillSSVLower, for the
+// design it keeps.
 func Synthesize(spec *Spec) (*Controller, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -230,11 +239,6 @@ func Synthesize(spec *Spec) (*Controller, error) {
 		}
 		if ssv <= 1 {
 			cand.Report.Iterations = iters
-			if cl, err := buildClosedLoop(spec, k, tScales); err == nil {
-				if lo, _, err := SystemMuBounds(cl, 24, true); err == nil {
-					cand.Report.SSVLower = lo
-				}
-			}
 			return cand, nil
 		}
 		rho *= 2
@@ -244,6 +248,27 @@ func Synthesize(spec *Spec) (*Controller, error) {
 	}
 	bestCtl.Report.Iterations = iters
 	return bestCtl, nil
+}
+
+// ssvLowerGrid is the frequency grid of the reported SSV lower bound.
+const ssvLowerGrid = 24
+
+// FillSSVLower sets ctl.Report.SSVLower to the power-iteration lower bound
+// on the structured singular value of ctl's closed loop under spec, when ctl
+// is certified (Report.SSV <= 1); otherwise, or when the closed loop cannot
+// be formed, it leaves the field unchanged. spec must be the specification
+// ctl was synthesized from.
+func FillSSVLower(spec *Spec, ctl *Controller) {
+	if !(ctl.Report.SSV <= 1) { // also skips the NaN SSV of LQG designs
+		return
+	}
+	cl, err := buildClosedLoop(spec, ctl.K, spec.resolveTargetScales())
+	if err != nil {
+		return
+	}
+	if lo, err := SystemMuLower(cl, ssvLowerGrid); err == nil {
+		ctl.Report.SSVLower = lo
+	}
 }
 
 // DesignAtPenalty synthesizes a single SSV candidate at the given control
