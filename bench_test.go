@@ -273,7 +273,7 @@ func BenchmarkControllerStep(b *testing.B) {
 // hardware state machine would execute.
 func BenchmarkControllerStepFixedPoint(b *testing.B) {
 	c := benchContext(b)
-	ctl, err := c.P.HWControllerValidated(exp.DefaultHWParamsForBench())
+	ctl, err := c.P.HWControllerValidated(DefaultHWParams())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -243,10 +243,10 @@ func newFleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*fl
 		opt.ReallocEvery = 10
 	}
 	if opt.MaxTime <= 0 {
-		opt.MaxTime = 1200 * time.Second
+		opt.MaxTime = DefaultMaxTime
 	}
 	if opt.Interval <= 0 {
-		opt.Interval = 500 * time.Millisecond
+		opt.Interval = DefaultInterval
 	}
 	if opt.BoardTraces != nil && len(opt.BoardTraces) != n {
 		return nil, fmt.Errorf("core: BoardTraces has %d entries for %d members", len(opt.BoardTraces), n)

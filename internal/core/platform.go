@@ -24,21 +24,16 @@ type Platform struct {
 
 	HW, OS, HWOnly, OSOnly, Mono *lti.StateSpace
 
-	// Caches of validated controllers: synthesis plus validation of the HW
+	// Cache of designed controllers: synthesis plus validation of the HW
 	// and OS SSV designs takes seconds (an 8.1 s median on a 2-CPU x86
 	// host), and experiment sweeps reuse the same designs across many runs.
-	// Each key holds a single-flight entry so that concurrent callers (the
-	// experiment harness fans runs across a worker pool) synthesize a given
-	// design exactly once and never serialize behind an unrelated key's
-	// synthesis — the map mutex protects only the entry lookup.
+	// The keys are HWParams, OSParams and one lqgKey per LQG baseline. Each
+	// key holds a single-flight entry so that concurrent callers (the
+	// experiment harness fans runs across a worker pool) design it exactly
+	// once and never serialize behind an unrelated key's synthesis — the
+	// mutex protects only the entry lookup.
 	mu      sync.Mutex
-	hwCache map[HWParams]*hwEntry
-	osCache map[OSParams]*osEntry
-
-	// Single-flight caches for the parameterless LQG baseline designs, so
-	// concurrent runs of the §VI-B schemes share one synthesis.
-	monoLQG   lqgEntry
-	decoupLQG decoupEntry
+	designs map[any]*designEntry
 
 	// metrics, when attached, counts controller-cache hits and misses
 	// (synth_cache_hits_total / synth_cache_misses_total).
@@ -55,50 +50,47 @@ func (p *Platform) AttachMetrics(r *obs.Registry) {
 	p.mu.Unlock()
 }
 
-// countCache records one controller-cache access against the attached
-// registry (m may be nil).
-func countCache(m *obs.Registry, hit bool) {
-	if m == nil {
-		return
+// lqgKey is the cache key of a parameterless LQG baseline design.
+type lqgKey int
+
+const (
+	monoLQGKey lqgKey = iota
+	decoupLQGKey
+)
+
+// designEntry is a single-flight cache slot for one design: one controller
+// in ctl, or for the decoupled LQG baseline the hardware and software pair
+// in ctl and os.
+type designEntry struct {
+	once    sync.Once
+	ctl, os *robust.Controller
+	err     error
+}
+
+// design returns the cache entry for key, running build on it the first
+// time any caller asks (concurrent callers share that one run). Every call
+// counts one cache access: the first for a key is the miss.
+func (p *Platform) design(key any, build func(e *designEntry)) *designEntry {
+	p.mu.Lock()
+	if p.designs == nil {
+		p.designs = make(map[any]*designEntry)
 	}
-	if hit {
-		m.Counter("synth_cache_hits_total").Add(1)
-	} else {
-		m.Counter("synth_cache_misses_total").Add(1)
+	e, hit := p.designs[key]
+	if !hit {
+		e = &designEntry{}
+		p.designs[key] = e
 	}
-}
-
-// hwEntry is a single-flight cache slot for one hardware design.
-type hwEntry struct {
-	once sync.Once
-	ctl  *robust.Controller
-	err  error
-}
-
-// osEntry is a single-flight cache slot for one software design.
-type osEntry struct {
-	once sync.Once
-	ctl  *robust.Controller
-	err  error
-}
-
-// lqgEntry is a single-flight cache slot for the monolithic LQG design.
-// seen (guarded by the platform mutex) marks the first access, for the
-// cache hit/miss accounting.
-type lqgEntry struct {
-	once sync.Once
-	ctl  *robust.Controller
-	err  error
-	seen bool
-}
-
-// decoupEntry is a single-flight cache slot for the decoupled LQG pair,
-// with the same first-access marker as lqgEntry.
-type decoupEntry struct {
-	once   sync.Once
-	hw, os *robust.Controller
-	err    error
-	seen   bool
+	m := p.metrics
+	p.mu.Unlock()
+	if m != nil {
+		name := "synth_cache_misses_total"
+		if hit {
+			name = "synth_cache_hits_total"
+		}
+		m.Counter(name).Add(1)
+	}
+	e.once.Do(func() { build(e) })
+	return e
 }
 
 // NewPlatform collects training data on the given board configuration and
@@ -189,18 +181,13 @@ func (p *Platform) quantaFor(cols []int) []float64 {
 // stage; see SynthesizeHWSSVValidated). Its report leaves SSVLower at 0;
 // the validated controllers fill it.
 func (p *Platform) SynthesizeHWSSV(hp HWParams) (*robust.Controller, error) {
-	return p.synthesizeHWSSVAt(hp, 0)
+	return robust.Synthesize(p.hwSpec(hp, 0))
 }
 
 // DesignHWAtPenalty synthesizes a single hardware-controller candidate at a
 // fixed penalty and reports its SSV (for the Fig. 16a sensitivity study).
 func (p *Platform) DesignHWAtPenalty(hp HWParams, rho float64) (*robust.Controller, error) {
 	return robust.DesignAtPenalty(p.hwSpec(hp, 0), rho)
-}
-
-// synthesizeHWSSVAt synthesizes with an explicit penalty floor.
-func (p *Platform) synthesizeHWSSVAt(hp HWParams, minPenalty float64) (*robust.Controller, error) {
-	return robust.Synthesize(p.hwSpec(hp, minPenalty))
 }
 
 // hwSpec builds the Table II specification.
@@ -230,12 +217,7 @@ func (p *Platform) hwSpec(hp HWParams, minPenalty float64) *robust.Spec {
 // Table III (without the Fig. 3 validation stage). Like SynthesizeHWSSV, it
 // leaves the report's SSVLower at 0.
 func (p *Platform) SynthesizeOSSSV(op OSParams) (*robust.Controller, error) {
-	return p.synthesizeOSSSVAt(op, 0)
-}
-
-// synthesizeOSSSVAt synthesizes with an explicit penalty floor.
-func (p *Platform) synthesizeOSSSVAt(op OSParams, minPenalty float64) (*robust.Controller, error) {
-	return robust.Synthesize(p.osSpec(op, minPenalty))
+	return robust.Synthesize(p.osSpec(op, 0))
 }
 
 // osSpec builds the Table III specification.
@@ -259,19 +241,7 @@ func (p *Platform) osSpec(op OSParams, minPenalty float64) *robust.Spec {
 // the same knobs share one synthesis (single-flight); callers with different
 // knobs synthesize in parallel.
 func (p *Platform) HWControllerValidated(hp HWParams) (*robust.Controller, error) {
-	p.mu.Lock()
-	if p.hwCache == nil {
-		p.hwCache = make(map[HWParams]*hwEntry)
-	}
-	e, ok := p.hwCache[hp]
-	if !ok {
-		e = &hwEntry{}
-		p.hwCache[hp] = e
-	}
-	m := p.metrics
-	p.mu.Unlock()
-	countCache(m, ok)
-	e.once.Do(func() { e.ctl, e.err = p.SynthesizeHWSSVValidated(hp) })
+	e := p.design(hp, func(e *designEntry) { e.ctl, e.err = p.SynthesizeHWSSVValidated(hp) })
 	return e.ctl, e.err
 }
 
@@ -284,118 +254,48 @@ func (p *Platform) OSControllerValidated(op OSParams) (*robust.Controller, error
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	if p.osCache == nil {
-		p.osCache = make(map[OSParams]*osEntry)
-	}
-	e, ok := p.osCache[op]
-	if !ok {
-		e = &osEntry{}
-		p.osCache[op] = e
-	}
-	m := p.metrics
-	p.mu.Unlock()
-	countCache(m, ok)
-	e.once.Do(func() { e.ctl, e.err = p.SynthesizeOSSSVValidated(op, hwCtl) })
+	e := p.design(op, func(e *designEntry) { e.ctl, e.err = p.SynthesizeOSSSVValidated(op, hwCtl) })
 	return e.ctl, e.err
 }
 
 // MonolithicLQGController returns the cached §VI-B monolithic LQG design,
 // synthesizing it on first use (single-flight).
 func (p *Platform) MonolithicLQGController() (*robust.Controller, error) {
-	e := &p.monoLQG
-	p.mu.Lock()
-	m, hit := p.metrics, e.seen
-	e.seen = true
-	p.mu.Unlock()
-	countCache(m, hit)
-	e.once.Do(func() { e.ctl, e.err = p.SynthesizeMonolithicLQG() })
+	e := p.design(monoLQGKey, func(e *designEntry) { e.ctl, e.err = p.SynthesizeMonolithicLQG() })
 	return e.ctl, e.err
 }
 
 // DecoupledLQGControllers returns the cached §VI-B decoupled LQG pair,
 // synthesizing it on first use (single-flight).
 func (p *Platform) DecoupledLQGControllers() (hw, os *robust.Controller, err error) {
-	e := &p.decoupLQG
-	p.mu.Lock()
-	m, hit := p.metrics, e.seen
-	e.seen = true
-	p.mu.Unlock()
-	countCache(m, hit)
-	e.once.Do(func() { e.hw, e.os, e.err = p.SynthesizeDecoupledLQG() })
-	return e.hw, e.os, e.err
-}
-
-// WarmCaches pre-synthesizes the validated controllers for every given
-// parameter set, plus (when warmLQG is set) the LQG baseline designs, using
-// one goroutine per distinct design. It exists so a worker pool can fan out
-// experiment runs immediately afterwards without any worker paying a
-// synthesis on its critical path; the single-flight caches make concurrent
-// warming (or warming concurrent with running) safe and duplicate-free. The
-// first error encountered is returned, but every design is still attempted.
-func (p *Platform) WarmCaches(hws []HWParams, ops []OSParams, warmLQG bool) error {
-	var wg sync.WaitGroup
-	errc := make(chan error, len(hws)+len(ops)+1)
-	for _, hp := range hws {
-		wg.Add(1)
-		go func(hp HWParams) {
-			defer wg.Done()
-			if _, err := p.HWControllerValidated(hp); err != nil {
-				errc <- err
-			}
-		}(hp)
-	}
-	for _, op := range ops {
-		wg.Add(1)
-		go func(op OSParams) {
-			defer wg.Done()
-			if _, err := p.OSControllerValidated(op); err != nil {
-				errc <- err
-			}
-		}(op)
-	}
-	if warmLQG {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := p.MonolithicLQGController(); err != nil {
-				errc <- err
-				return
-			}
-			if _, _, err := p.DecoupledLQGControllers(); err != nil {
-				errc <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	return <-errc
+	e := p.design(decoupLQGKey, func(e *designEntry) { e.ctl, e.os, e.err = p.SynthesizeDecoupledLQG() })
+	return e.ctl, e.os, e.err
 }
 
 // NewHWRuntime wires a synthesized hardware controller to the board signals.
+// It hotplugs one core and moves at most two DVFS steps per interval.
 func (p *Platform) NewHWRuntime(ctl *robust.Controller) (*ssvctl.Runtime, error) {
-	return ssvctl.New(ssvctl.Config{
-		Controller:     ctl,
-		OutputScales:   scalesFor(p.Data.OutScales, hwOutCols),
-		ExternalScales: scalesFor(inputScales(p.Cfg), hwInCols[4:]),
-		InputScales:    scalesFor(inputScales(p.Cfg), hwInCols[:4]),
-		InputLevels:    levelsFor(inputLevels(p.Cfg), hwInCols[:4]),
-		// Hotplug one core and at most two DVFS steps per interval.
-		SlewLevels: []int{1, 1, 2, 2},
-	})
+	return p.newSSVRuntime(ctl, hwInCols, hwOutCols, []int{1, 1, 2, 2})
 }
 
 // NewOSRuntime wires a synthesized software controller to the board signals.
+// It migrates at most two threads and shifts packing one level per interval.
 func (p *Platform) NewOSRuntime(ctl *robust.Controller) (*ssvctl.Runtime, error) {
+	return p.newSSVRuntime(ctl, osInCols, osOutCols, []int{2, 1, 1})
+}
+
+// newSSVRuntime wires an SSV controller to board signals given its column
+// sets; slew holds one per-interval level limit per control input, and the
+// input columns after the controls are the external signals.
+func (p *Platform) newSSVRuntime(ctl *robust.Controller, inCols, outCols, slew []int) (*ssvctl.Runtime, error) {
+	nu := len(slew)
 	return ssvctl.New(ssvctl.Config{
 		Controller:     ctl,
-		OutputScales:   scalesFor(p.Data.OutScales, osOutCols),
-		ExternalScales: scalesFor(inputScales(p.Cfg), osInCols[3:]),
-		InputScales:    scalesFor(inputScales(p.Cfg), osInCols[:3]),
-		InputLevels:    levelsFor(inputLevels(p.Cfg), osInCols[:3]),
-		// Migrate at most two threads and shift packing one level per
-		// interval.
-		SlewLevels: []int{2, 1, 1},
+		OutputScales:   scalesFor(p.Data.OutScales, outCols),
+		ExternalScales: scalesFor(inputScales(p.Cfg), inCols[nu:]),
+		InputScales:    scalesFor(inputScales(p.Cfg), inCols[:nu]),
+		InputLevels:    levelsFor(inputLevels(p.Cfg), inCols[:nu]),
+		SlewLevels:     slew,
 	})
 }
 

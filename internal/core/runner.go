@@ -49,6 +49,12 @@ type RunResult struct {
 	BigFreq     *series.Series
 }
 
+// Run-horizon defaults for a RunOptions or FleetOptions field left zero.
+const (
+	DefaultMaxTime  = 1200 * time.Second
+	DefaultInterval = 500 * time.Millisecond
+)
+
 // RunOptions bounds a run.
 type RunOptions struct {
 	// MaxTime aborts runs that fail to complete (a misbehaving controller
@@ -155,10 +161,10 @@ func (r *soloRun) step(i int) {
 // which both Run and the serve layer's hosted sessions use.
 func newSoloRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*soloRun, error) {
 	if opt.MaxTime <= 0 {
-		opt.MaxTime = 1200 * time.Second
+		opt.MaxTime = DefaultMaxTime
 	}
 	if opt.Interval <= 0 {
-		opt.Interval = 500 * time.Millisecond
+		opt.Interval = DefaultInterval
 	}
 	sess, err := sch.New()
 	if err != nil {
@@ -333,9 +339,8 @@ func countRun(m *obs.Registry, res *RunResult) {
 // instead of optimizers — the §VI-E1 experiment ("we set fixed targets for
 // each of the outputs") and the §VI-E3 power-tracking experiment.
 type FixedTargetSession struct {
-	HW        Session
-	OS        Session // optional
-	hwTargets []float64
+	HW Session
+	OS Session // optional
 }
 
 // Step implements Session.

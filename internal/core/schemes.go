@@ -8,6 +8,7 @@ import (
 	"yukta/internal/heuristic"
 	"yukta/internal/lqgctl"
 	"yukta/internal/optimizer"
+	"yukta/internal/robust"
 	"yukta/internal/ssvctl"
 	"yukta/internal/supervisor"
 )
@@ -272,13 +273,19 @@ func (h *hwSSVSession) Step(s board.Sensors, b *board.Board, threads int) {
 	applyHW(b, u)
 }
 
-// newHWSSVSession assembles the SSV hardware layer from a synthesized
-// controller.
+// newHWSSVSession assembles the SSV hardware layer from the validated
+// controller for hp.
 func (p *Platform) newHWSSVSession(hp HWParams) (*hwSSVSession, error) {
 	ctl, err := p.HWControllerValidated(hp)
 	if err != nil {
 		return nil, fmt.Errorf("core: HW SSV synthesis: %w", err)
 	}
+	return p.hwSSVLayer(ctl)
+}
+
+// hwSSVLayer wires a hardware SSV controller and its E×D optimizer into a
+// hardware layer.
+func (p *Platform) hwSSVLayer(ctl *robust.Controller) (*hwSSVSession, error) {
 	rt, err := p.NewHWRuntime(ctl)
 	if err != nil {
 		return nil, err
@@ -411,23 +418,36 @@ func (p *Platform) YuktaFullSSV(hp HWParams, op OSParams) Scheme {
 		if err != nil {
 			return nil, err
 		}
-		ctl, err := p.OSControllerValidated(op)
-		if err != nil {
-			return nil, fmt.Errorf("core: OS SSV synthesis: %w", err)
-		}
-		rt, err := p.NewOSRuntime(ctl)
+		os, err := p.newOSSSVSession(op)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := p.osOptimizer()
-		if err != nil {
-			return nil, err
-		}
-		return &splitSession{
-			hw: hw,
-			os: &osSSVSession{rt: rt, opt: opt, base: p.Cfg.BasePowerW},
-		}, nil
+		return &splitSession{hw: hw, os: os}, nil
 	}}
+}
+
+// newOSSSVSession assembles the SSV software layer from the validated
+// controller for op.
+func (p *Platform) newOSSSVSession(op OSParams) (*osSSVSession, error) {
+	ctl, err := p.OSControllerValidated(op)
+	if err != nil {
+		return nil, fmt.Errorf("core: OS SSV synthesis: %w", err)
+	}
+	return p.osSSVLayer(ctl)
+}
+
+// osSSVLayer wires a software SSV controller and its E×D optimizer into a
+// software layer.
+func (p *Platform) osSSVLayer(ctl *robust.Controller) (*osSSVSession, error) {
+	rt, err := p.NewOSRuntime(ctl)
+	if err != nil {
+		return nil, err
+	}
+	opt, err := p.osOptimizer()
+	if err != nil {
+		return nil, err
+	}
+	return &osSSVSession{rt: rt, opt: opt, base: p.Cfg.BasePowerW}, nil
 }
 
 // YuktaFullAblated builds the full SSV scheme with ablation switches: with
@@ -443,20 +463,12 @@ func (p *Platform) YuktaFullAblated(name string, noExternals, noConditioning boo
 		}
 		hw.noExternals = noExternals
 		hw.noConditioning = noConditioning
-		ctl, err := p.OSControllerValidated(DefaultOSParams())
+		os, err := p.newOSSSVSession(DefaultOSParams())
 		if err != nil {
 			return nil, err
 		}
-		rt, err := p.NewOSRuntime(ctl)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := p.osOptimizer()
-		if err != nil {
-			return nil, err
-		}
-		os := &osSSVSession{rt: rt, opt: opt, base: p.Cfg.BasePowerW,
-			noExternals: noExternals, noConditioning: noConditioning}
+		os.noExternals = noExternals
+		os.noConditioning = noConditioning
 		return &splitSession{hw: hw, os: os}, nil
 	}}
 }

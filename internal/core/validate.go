@@ -29,25 +29,12 @@ var validationPenalties = []float64{1, 2, 4, 8, 16}
 // validation run.
 const maxValidationEmergencies = 4
 
-// hwValidationScore deploys the candidate hardware controller with its E×D
-// optimizer under the HMP-style heuristic scheduler (the placement regime
-// with the steepest plant gains) on a training application, and returns the
-// measured E×D and the firmware emergency count.
-func (p *Platform) hwValidationScore(ctl *robust.Controller) (exd float64, emergencies int, err error) {
-	rt, err := p.NewHWRuntime(ctl)
-	if err != nil {
-		return 0, 0, err
-	}
-	opt, err := p.hwOptimizer()
-	if err != nil {
-		return 0, 0, err
-	}
-	hw := &hwSSVSession{rt: rt, opt: opt, base: p.Cfg.BasePowerW}
-	sch := Scheme{Name: "validation", New: func() (Session, error) {
-		return &splitSession{hw: hw, os: &heurOSAdapter{os: &heuristic.CoordinatedOS{}}}, nil
-	}}
-	w := workload.MustLookup("swaptions") // training set only
-	res, err := Run(p.Cfg, sch, w, RunOptions{MaxTime: 600 * time.Second})
+// validationRun deploys sess on the training application app and returns
+// the measured E×D (+Inf when the run does not complete) and the firmware
+// emergency count.
+func (p *Platform) validationRun(sess Session, app string) (exd float64, emergencies int, err error) {
+	sch := Scheme{Name: "validation", New: func() (Session, error) { return sess, nil }}
+	res, err := Run(p.Cfg, sch, workload.MustLookup(app), RunOptions{MaxTime: 600 * time.Second})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -55,112 +42,75 @@ func (p *Platform) hwValidationScore(ctl *robust.Controller) (exd float64, emerg
 		return math.Inf(1), res.EmergencyEvents, nil
 	}
 	return res.ExD, res.EmergencyEvents, nil
+}
+
+// validatedSSV runs the full design flow for one layer's SSV controller:
+// for each rung of the penalty ladder it synthesizes spec(penalty), deploys
+// the candidate in the session built by session on app (a training
+// application, never an evaluation one), and keeps the best-measured design among those within the
+// emergency budget (else the last one synthesized). Only the kept design
+// gets its SSV lower bound.
+func (p *Platform) validatedSSV(layer string, spec func(penalty float64) *robust.Spec,
+	session func(ctl *robust.Controller) (Session, error), app string) (*robust.Controller, error) {
+	var best, fallback *robust.Controller
+	var bestPen, fallbackPen float64
+	bestScore := math.Inf(1)
+	for _, pen := range validationPenalties {
+		ctl, err := robust.Synthesize(spec(pen))
+		if err != nil {
+			continue
+		}
+		fallback, fallbackPen = ctl, pen
+		sess, err := session(ctl)
+		if err != nil {
+			continue
+		}
+		exd, emg, err := p.validationRun(sess, app)
+		if err != nil || emg > maxValidationEmergencies {
+			continue
+		}
+		if exd < bestScore {
+			best, bestPen, bestScore = ctl, pen, exd
+		}
+	}
+	if best == nil {
+		if fallback == nil {
+			return nil, fmt.Errorf("core: %s SSV validated synthesis failed at every penalty", layer)
+		}
+		best, bestPen = fallback, fallbackPen
+	}
+	robust.FillSSVLower(spec(bestPen), best)
+	return best, nil
 }
 
 // SynthesizeHWSSVValidated runs the full design flow for the hardware
-// controller: synthesize candidates along the penalty ladder, validate each
-// on the (simulated) board, and keep the best-measured design, whose report
-// then gets its SSV lower bound.
+// controller. Each candidate runs with its E×D optimizer under the HMP-style
+// heuristic scheduler (the placement regime with the steepest plant gains).
 func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, error) {
-	var best, fallback *robust.Controller
-	var bestPen, fallbackPen float64
-	bestScore := math.Inf(1)
-	for _, pen := range validationPenalties {
-		ctl, err := p.synthesizeHWSSVAt(hp, pen)
-		if err != nil {
-			continue
-		}
-		fallback, fallbackPen = ctl, pen
-		exd, emg, err := p.hwValidationScore(ctl)
-		if err != nil {
-			continue
-		}
-		if emg > maxValidationEmergencies {
-			continue
-		}
-		if exd < bestScore {
-			best, bestPen, bestScore = ctl, pen, exd
-		}
-	}
-	if best == nil {
-		if fallback == nil {
-			return nil, fmt.Errorf("core: HW SSV validated synthesis failed at every penalty")
-		}
-		best, bestPen = fallback, fallbackPen
-	}
-	// The reported lower bound is swept once, for the design that is kept.
-	robust.FillSSVLower(p.hwSpec(hp, bestPen), best)
-	return best, nil
-}
-
-// osValidationScore deploys the candidate software controller in the full
-// two-layer SSV stack (with the already-validated hardware controller) on a
-// training application and returns measured E×D and emergencies.
-func (p *Platform) osValidationScore(ctl, hwCtl *robust.Controller) (exd float64, emergencies int, err error) {
-	hwRT, err := p.NewHWRuntime(hwCtl)
-	if err != nil {
-		return 0, 0, err
-	}
-	hwOpt, err := p.hwOptimizer()
-	if err != nil {
-		return 0, 0, err
-	}
-	osRT, err := p.NewOSRuntime(ctl)
-	if err != nil {
-		return 0, 0, err
-	}
-	osOpt, err := p.osOptimizer()
-	if err != nil {
-		return 0, 0, err
-	}
-	sch := Scheme{Name: "validation", New: func() (Session, error) {
-		return &splitSession{
-			hw: &hwSSVSession{rt: hwRT, opt: hwOpt, base: p.Cfg.BasePowerW},
-			os: &osSSVSession{rt: osRT, opt: osOpt, base: p.Cfg.BasePowerW},
-		}, nil
-	}}
-	w := workload.MustLookup("vips") // training set only
-	res, err := Run(p.Cfg, sch, w, RunOptions{MaxTime: 600 * time.Second})
-	if err != nil {
-		return 0, 0, err
-	}
-	if !res.Completed {
-		return math.Inf(1), res.EmergencyEvents, nil
-	}
-	return res.ExD, res.EmergencyEvents, nil
+	return p.validatedSSV("HW", func(pen float64) *robust.Spec { return p.hwSpec(hp, pen) },
+		func(ctl *robust.Controller) (Session, error) {
+			hw, err := p.hwSSVLayer(ctl)
+			if err != nil {
+				return nil, err
+			}
+			return &splitSession{hw: hw, os: &heurOSAdapter{os: &heuristic.CoordinatedOS{}}}, nil
+		}, "swaptions")
 }
 
 // SynthesizeOSSSVValidated runs the full design flow for the software
-// controller against an already-validated hardware controller; as for the
-// hardware controller, only the design it keeps gets its SSV lower bound.
+// controller. Each candidate runs in the full two-layer SSV stack with the
+// already-validated hardware controller hwCtl.
 func (p *Platform) SynthesizeOSSSVValidated(op OSParams, hwCtl *robust.Controller) (*robust.Controller, error) {
-	var best, fallback *robust.Controller
-	var bestPen, fallbackPen float64
-	bestScore := math.Inf(1)
-	for _, pen := range validationPenalties {
-		ctl, err := p.synthesizeOSSSVAt(op, pen)
-		if err != nil {
-			continue
-		}
-		fallback, fallbackPen = ctl, pen
-		exd, emg, err := p.osValidationScore(ctl, hwCtl)
-		if err != nil {
-			continue
-		}
-		if emg > maxValidationEmergencies {
-			continue
-		}
-		if exd < bestScore {
-			best, bestPen, bestScore = ctl, pen, exd
-		}
-	}
-	if best == nil {
-		if fallback == nil {
-			return nil, fmt.Errorf("core: OS SSV validated synthesis failed at every penalty")
-		}
-		best, bestPen = fallback, fallbackPen
-	}
-	// The reported lower bound is swept once, for the design that is kept.
-	robust.FillSSVLower(p.osSpec(op, bestPen), best)
-	return best, nil
+	return p.validatedSSV("OS", func(pen float64) *robust.Spec { return p.osSpec(op, pen) },
+		func(ctl *robust.Controller) (Session, error) {
+			hw, err := p.hwSSVLayer(hwCtl)
+			if err != nil {
+				return nil, err
+			}
+			os, err := p.osSSVLayer(ctl)
+			if err != nil {
+				return nil, err
+			}
+			return &splitSession{hw: hw, os: os}, nil
+		}, "vips")
 }

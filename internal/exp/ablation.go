@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"yukta/internal/core"
 	"yukta/internal/workload"
@@ -80,7 +81,7 @@ func (c *Context) AblationReport(apps []string) (*Ablation, error) {
 
 // RenderAblation renders the ablation summary.
 func RenderAblation(a *Ablation) string {
-	var sb stringsBuilder
+	var sb strings.Builder
 	sb.WriteString("Ablations of the full Yukta stack (E×D relative to intact = 1.00)\n")
 	fmt.Fprintf(&sb, "  without external signals (decoupled SSV): %.2f\n", a.NoExternals)
 	fmt.Fprintf(&sb, "  without self-conditioning (naive runtime): %.2f\n", a.NoConditioning)

@@ -8,6 +8,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"yukta/internal/board"
@@ -85,11 +86,6 @@ func NewContextWithOptions(opt Options) (*Context, error) {
 	}
 	return c, nil
 }
-
-// DefaultHWParamsForBench re-exports the Table II defaults for the
-// repository-level benchmarks (which cannot import internal/core directly
-// through the public facade without a cycle).
-func DefaultHWParamsForBench() core.HWParams { return core.DefaultHWParams() }
 
 // EvalApps returns the evaluation programs in the paper's Figure 9 order:
 // SPEC first, then PARSEC.
@@ -198,7 +194,7 @@ func (b *BarSet) Render() string {
 		row = append(row, fmt.Sprintf("%.2f", sav), fmt.Sprintf("%.2f", pav), fmt.Sprintf("%.2f", avg))
 		tab.AddRow(row...)
 	}
-	var sb stringsBuilder
+	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s (%s, normalized to %q)\n", b.Title, b.Metric, b.Schemes[0])
 	tab.Render(&sb)
 	return sb.String()
@@ -213,7 +209,7 @@ type TraceSet struct {
 
 // Render draws each trace as an ASCII chart in order.
 func (tr *TraceSet) Render() string {
-	var sb stringsBuilder
+	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", tr.Title)
 	keys := tr.Order
 	if keys == nil {
@@ -230,15 +226,3 @@ func (tr *TraceSet) Render() string {
 	}
 	return sb.String()
 }
-
-// stringsBuilder is a tiny alias so exp files avoid importing strings
-// everywhere.
-type stringsBuilder struct{ b []byte }
-
-func (s *stringsBuilder) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-func (s *stringsBuilder) WriteString(v string) { s.b = append(s.b, v...) }
-func (s *stringsBuilder) String() string       { return string(s.b) }

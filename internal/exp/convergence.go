@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"yukta/internal/board"
@@ -225,7 +226,7 @@ func (c *Context) ConvergenceReport() (*Convergence, error) {
 
 // RenderConvergence renders the §VI-B comparison.
 func RenderConvergence(cv *Convergence) string {
-	var sb stringsBuilder
+	var sb strings.Builder
 	sb.WriteString("§VI-B convergence comparison (500 ms control intervals)\n")
 	fmt.Fprintf(&sb, "  big-power target step:  SSV %d intervals, LQG %d intervals (paper: 2 vs 6)\n",
 		cv.SSVStepIntervals, cv.LQGStepIntervals)

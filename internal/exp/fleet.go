@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"yukta/internal/core"
@@ -134,7 +135,7 @@ func (t *FleetTable) Render() string {
 			}
 		}
 	}
-	var sb stringsBuilder
+	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s (seed %d, %.1f W/board, apps: %v)\n", t.Title, t.Seed, t.BoardBudgetW, t.Apps)
 	if t.Topo != "" {
 		fmt.Fprintf(&sb, "coordinator topology: %s\n", t.Topo)

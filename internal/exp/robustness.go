@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"yukta/internal/core"
 	"yukta/internal/fault"
@@ -83,7 +84,7 @@ func (r *RobustnessTable) Render() string {
 		}
 		tab.AddRow(row...)
 	}
-	var sb stringsBuilder
+	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s (seed %d, apps: %v)\n", r.Title, r.Seed, r.Apps)
 	tab.Render(&sb)
 	sb.WriteString("\ninjected faults per intensity (all schemes × apps):\n")

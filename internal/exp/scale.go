@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"yukta/internal/core"
@@ -405,7 +406,7 @@ func (r *FleetScaleReport) Render() string {
 			fmt.Sprintf("%.0f%%", 100*p.DoneBoardFrac),
 			fmt.Sprintf("%.0f", p.EDP), edpRel)
 	}
-	var sb stringsBuilder
+	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fleet scaling curve (%s/%s, %d CPUs, parallelism %d, %s scheme, %s policy per tree node, %.0f s simulated)\n",
 		r.GOOS, r.GOARCH, r.NumCPU, r.Parallelism, r.Scheme, r.Policy, r.MaxTimeS)
 	tab.Render(&sb)

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"yukta/internal/core"
 	"yukta/internal/fault"
@@ -94,7 +95,7 @@ func (t *ClassTable) Render() string {
 			fmt.Sprintf("%.3f", t.SupDegradation[k]),
 			t.SupStats[k].render())
 	}
-	var sb stringsBuilder
+	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s (seed %d, intensity %.2f, apps: %v)\n", t.Title, t.Seed, t.Intensity, t.Apps)
 	fmt.Fprintf(&sb, "unsupervised = %q, supervised = %q\n", t.Unsupervised, t.Supervised)
 	tab.Render(&sb)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"yukta/internal/series"
 )
@@ -15,7 +16,7 @@ func TableI() string {
 	t.AddRow("Organization", "Decoupled, Centralized, Cascaded, *Collaborative*")
 	t.AddRow("Approach", "Classical, *Robust*, Gain Scheduling, Adaptive")
 	t.AddRow("Type", "PID, LQG, MPC, *SSV*")
-	var sb stringsBuilder
+	var sb strings.Builder
 	sb.WriteString("Table I: space of design choices from control theory\n")
 	t.Render(&sb)
 	return sb.String()
@@ -29,7 +30,7 @@ func TableII() string {
 	t.AddRow("#little cores", "1", "1..4")
 	t.AddRow("frequency_big", "1", "0.2..2.0 GHz, 0.1 steps")
 	t.AddRow("frequency_little", "1", "0.2..1.4 GHz, 0.1 steps")
-	var sb stringsBuilder
+	var sb strings.Builder
 	sb.WriteString("Table II: hardware controller (goal: minimize E×D s.t. power/temp limits)\n")
 	t.Render(&sb)
 	o := &series.Table{Header: []string{"Output", "Bound"}}
@@ -50,7 +51,7 @@ func TableIII() string {
 	t.AddRow("#threads_big", "2", "0..8")
 	t.AddRow("threads/busy big core", "2", "1..4, 0.5 steps")
 	t.AddRow("threads/busy little core", "2", "1..4, 0.5 steps")
-	var sb stringsBuilder
+	var sb strings.Builder
 	sb.WriteString("Table III: software controller (goal: minimize E×D)\n")
 	t.Render(&sb)
 	o := &series.Table{Header: []string{"Output", "Bound"}}
@@ -84,7 +85,7 @@ func TableIV() string {
 		"LQG (no external signals) + optimizer")
 	t.AddRow("Monolithic LQG",
 		"single LQG over all 7 actuators and 7 outputs + optimizers", "(same controller)")
-	var sb stringsBuilder
+	var sb strings.Builder
 	sb.WriteString("Table IV: controller schemes\n")
 	t.Render(&sb)
 	return sb.String()
@@ -101,7 +102,7 @@ func RenderGuardbandPoints(points []GuardbandPoint) string {
 			fmt.Sprintf("%g", p.Penalty),
 		)
 	}
-	var sb stringsBuilder
+	var sb strings.Builder
 	sb.WriteString("Figure 16(a): guaranteed output deviation bounds vs uncertainty guardband\n")
 	t.Render(&sb)
 	return sb.String()
@@ -109,7 +110,7 @@ func RenderGuardbandPoints(points []GuardbandPoint) string {
 
 // RenderHWCost renders the §VI-D hardware-cost summary.
 func RenderHWCost(h *HWCost) string {
-	var sb stringsBuilder
+	var sb strings.Builder
 	sb.WriteString("§VI-D hardware implementation of the HW SSV controller\n")
 	fmt.Fprintf(&sb, "  state dimension N = %d (I=%d, O=%d, E=%d)\n", h.StateDim, h.Inputs, h.Outputs, h.Exts)
 	fmt.Fprintf(&sb, "  fixed-point operations per invocation ≈ %d\n", h.OpsPerInvocation)

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"yukta/internal/core"
 	"yukta/internal/obs"
@@ -30,11 +29,11 @@ func (c *Context) attachRecorder(opt *core.RunOptions) *obs.Recorder {
 func traceCapacity(opt core.RunOptions) int {
 	maxTime := opt.MaxTime
 	if maxTime <= 0 {
-		maxTime = 1200 * time.Second
+		maxTime = core.DefaultMaxTime
 	}
 	interval := opt.Interval
 	if interval <= 0 {
-		interval = 500 * time.Millisecond
+		interval = core.DefaultInterval
 	}
 	return int(maxTime/interval) + 1
 }
