@@ -30,6 +30,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -39,9 +40,21 @@ import (
 
 var quickApps = []string{"gamess", "mcf", "blackscholes", "streamcluster"}
 
+// figures lists every -fig name main handles, in -list order.
+var figures = []string{"9", "10", "11", "12", "13", "14", "15a", "15b", "16a", "16b", "17", "conv", "abl", "cost"}
+
+// checkFigure rejects a -fig name that no figure answers to ("" selects
+// none).
+func checkFigure(name string) error {
+	if name == "" || slices.Contains(figures, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown figure %q (valid: %s)", name, strings.Join(figures, " "))
+}
+
 func main() {
 	var (
-		fig       = flag.String("fig", "", "figure to regenerate: 9, 10, 11, 12, 13, 14, 15a, 15b, 16a, 16b, 17, cost")
+		fig       = flag.String("fig", "", "figure to regenerate: "+strings.Join(figures, ", "))
 		table     = flag.Int("table", 0, "table to print: 1, 2, 3 or 4")
 		all       = flag.Bool("all", false, "regenerate every table and figure")
 		quick     = flag.Bool("quick", false, "use a representative 4-app subset for suite figures")
@@ -66,6 +79,10 @@ func main() {
 		benchGrd  = flag.String("benchguard", "", "committed scaling report JSON (BENCH_evloop.json): fail unless the event engine beats lockstep at the largest -fleetscale size and every measured point matches its committed point (regression gate)")
 	)
 	flag.Parse()
+	if err := checkFigure(*fig); err != nil {
+		fmt.Fprintln(os.Stderr, "yukta-bench:", err)
+		os.Exit(2)
+	}
 
 	if *traceChk != "" {
 		if err := checkTraces(*traceChk); err != nil {
@@ -107,7 +124,7 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("figures: 9 10 11 12 13 14 15a 15b 16a 16b 17 conv abl cost")
+		fmt.Println("figures:", strings.Join(figures, " "))
 		fmt.Println("tables:  1 2 3 4")
 		return
 	}

@@ -358,36 +358,7 @@ func (p *Platform) NewFixedHWSession(hp HWParams, targets []float64) (Session, e
 	if err != nil {
 		return nil, err
 	}
-	rt, err := p.NewHWRuntime(ctl)
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.SetTargets(targets); err != nil {
-		return nil, err
-	}
-	return &fixedHWSession{rt: rt}, nil
-}
-
-type fixedHWSession struct {
-	rt interface {
-		Step(meas, ext, applied []float64) ([]float64, error)
-	}
-
-	// Per-step scratch buffers.
-	meas    [4]float64
-	ext     [3]float64
-	applied [4]float64
-}
-
-func (f *fixedHWSession) Step(s board.Sensors, b *board.Board, threads int) {
-	p := b.Placement()
-	f.meas = [4]float64{s.BIPS, s.BigPowerW, s.LittlePowerW, s.TempC}
-	f.ext = [3]float64{float64(p.ThreadsBig), p.ThreadsPerBigCore, p.ThreadsPerLittleCore}
-	f.applied = [4]float64{float64(b.BigCores()), float64(b.LittleCores()),
-		b.EffectiveBigFreq(), b.EffectiveLittleFreq()}
-	if u, err := f.rt.Step(f.meas[:], f.ext[:], f.applied[:]); err == nil {
-		applyHW(b, u)
-	}
+	return p.hwSSVLayer(ctl, targets)
 }
 
 // NewFixedOSSession builds an SSV software session tracking fixed targets
@@ -397,33 +368,5 @@ func (p *Platform) NewFixedOSSession(op OSParams, targets []float64) (Session, e
 	if err != nil {
 		return nil, err
 	}
-	rt, err := p.NewOSRuntime(ctl)
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.SetTargets(targets); err != nil {
-		return nil, err
-	}
-	return &fixedOSSession{rt: rt}, nil
-}
-
-type fixedOSSession struct {
-	rt interface {
-		Step(meas, ext, applied []float64) ([]float64, error)
-	}
-
-	// Per-step scratch buffers.
-	meas    [3]float64
-	ext     [4]float64
-	applied [3]float64
-}
-
-func (f *fixedOSSession) Step(s board.Sensors, b *board.Board, threads int) {
-	f.meas = [3]float64{s.BIPSLittle, s.BIPSBig, deltaSpareCompute(b, threads)}
-	f.ext = [4]float64{float64(b.BigCores()), float64(b.LittleCores()), b.BigFreq(), b.LittleFreq()}
-	pl := b.Placement()
-	f.applied = [3]float64{float64(pl.ThreadsBig), pl.ThreadsPerBigCore, pl.ThreadsPerLittleCore}
-	if u, err := f.rt.Step(f.meas[:], f.ext[:], f.applied[:]); err == nil {
-		applyOS(b, u, threads)
-	}
+	return p.osSSVLayer(ctl, targets)
 }

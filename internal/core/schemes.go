@@ -224,27 +224,30 @@ func (h *hwSSVSession) reseed(s board.Sensors, b *board.Board) {
 func (h *hwSSVSession) controllerHealth() supervisor.Health { return ssvHealth(h.rt.Health()) }
 
 func (h *hwSSVSession) Step(s board.Sensors, b *board.Board, threads int) {
-	tg := h.tg
-	if !h.frozen || tg == nil {
-		tg = h.opt.UpdateInto(h.tg, h.cost.guard(exdProxy(s, h.base)))
-		h.tg = tg
-	}
-	// Reference governor: the optimizer raises the performance target from
-	// the *measured* performance (§IV-D "keeps increasing Perf_0"), so the
-	// reference never runs far ahead of what the plant is delivering — a
-	// huge standing error would distort the controller's multi-output
-	// compromise and violate the synthesis' TargetScale assumption.
-	if h.perfEMA == 0 {
-		h.perfEMA = s.BIPS
-	}
-	h.perfEMA = 0.7*h.perfEMA + 0.3*s.BIPS
-	perfT := tg[0]
-	if cap := h.perfEMA + 3.0; perfT > cap {
-		perfT = cap
-	}
-	h.targets = [4]float64{perfT, tg[1], tg[2], tempTargetC}
-	if err := h.rt.SetTargets(h.targets[:]); err != nil {
-		return
+	if h.opt != nil { // a fixed-target layer has no optimizer
+		tg := h.tg
+		if !h.frozen || tg == nil {
+			tg = h.opt.UpdateInto(h.tg, h.cost.guard(exdProxy(s, h.base)))
+			h.tg = tg
+		}
+		// Reference governor: the optimizer raises the performance target
+		// from the *measured* performance (§IV-D "keeps increasing Perf_0"),
+		// so the reference never runs far ahead of what the plant is
+		// delivering — a huge standing error would distort the controller's
+		// multi-output compromise and violate the synthesis' TargetScale
+		// assumption.
+		if h.perfEMA == 0 {
+			h.perfEMA = s.BIPS
+		}
+		h.perfEMA = 0.7*h.perfEMA + 0.3*s.BIPS
+		perfT := tg[0]
+		if cap := h.perfEMA + 3.0; perfT > cap {
+			perfT = cap
+		}
+		h.targets = [4]float64{perfT, tg[1], tg[2], tempTargetC}
+		if err := h.rt.SetTargets(h.targets[:]); err != nil {
+			return
+		}
 	}
 	p := b.Placement()
 	h.meas = [4]float64{s.BIPS, s.BigPowerW, s.LittlePowerW, s.TempC}
@@ -280,21 +283,28 @@ func (p *Platform) newHWSSVSession(hp HWParams) (*hwSSVSession, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: HW SSV synthesis: %w", err)
 	}
-	return p.hwSSVLayer(ctl)
+	return p.hwSSVLayer(ctl, nil)
 }
 
-// hwSSVLayer wires a hardware SSV controller and its E×D optimizer into a
-// hardware layer.
-func (p *Platform) hwSSVLayer(ctl *robust.Controller) (*hwSSVSession, error) {
+// hwSSVLayer wires a hardware SSV controller into a hardware layer. With nil
+// targets its E×D optimizer moves the targets every interval; otherwise the
+// layer has no optimizer and holds the given targets [Perf, Power_big,
+// Power_little, Temp].
+func (p *Platform) hwSSVLayer(ctl *robust.Controller, targets []float64) (*hwSSVSession, error) {
 	rt, err := p.NewHWRuntime(ctl)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := p.hwOptimizer()
+	h := &hwSSVSession{rt: rt, base: p.Cfg.BasePowerW}
+	if targets != nil {
+		err = rt.SetTargets(targets)
+	} else {
+		h.opt, err = p.hwOptimizer()
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &hwSSVSession{rt: rt, opt: opt, base: p.Cfg.BasePowerW}, nil
+	return h, nil
 }
 
 // YuktaHWSSVOSHeuristic is Table IV (c): SSV hardware controller plus the
@@ -307,7 +317,7 @@ func (p *Platform) YuktaHWSSVOSHeuristic(hp HWParams) Scheme {
 		}
 		return &splitSession{
 			hw: hw,
-			os: &heurOSAdapter{os: &heuristic.CoordinatedOS{}},
+			os: &heuristic.CoordinatedOS{},
 		}, nil
 	}}
 }
@@ -370,27 +380,30 @@ func (o *osSSVSession) reseed(s board.Sensors, b *board.Board) {
 func (o *osSSVSession) controllerHealth() supervisor.Health { return ssvHealth(o.rt.Health()) }
 
 func (o *osSSVSession) Step(s board.Sensors, b *board.Board, threads int) {
-	tg := o.tg
-	if !o.frozen || tg == nil {
-		tg = o.opt.UpdateInto(o.tg, o.cost.guard(exdProxy(s, o.base)))
-		o.tg = tg
-	}
-	// Reference governor, as in the hardware layer: cluster performance
-	// targets track measured values instead of running open-loop ahead.
-	if !o.inited {
-		o.emaL, o.emaB = s.BIPSLittle, s.BIPSBig
-		o.inited = true
-	}
-	o.emaL = 0.7*o.emaL + 0.3*s.BIPSLittle
-	o.emaB = 0.7*o.emaB + 0.3*s.BIPSBig
-	if cap := o.emaL + 1.0; tg[0] > cap {
-		tg[0] = cap
-	}
-	if cap := o.emaB + 2.5; tg[1] > cap {
-		tg[1] = cap
-	}
-	if err := o.rt.SetTargets(tg); err != nil {
-		return
+	if o.opt != nil { // a fixed-target layer has no optimizer
+		tg := o.tg
+		if !o.frozen || tg == nil {
+			tg = o.opt.UpdateInto(o.tg, o.cost.guard(exdProxy(s, o.base)))
+			o.tg = tg
+		}
+		// Reference governor, as in the hardware layer: cluster
+		// performance targets track measured values instead of running
+		// open-loop ahead.
+		if !o.inited {
+			o.emaL, o.emaB = s.BIPSLittle, s.BIPSBig
+			o.inited = true
+		}
+		o.emaL = 0.7*o.emaL + 0.3*s.BIPSLittle
+		o.emaB = 0.7*o.emaB + 0.3*s.BIPSBig
+		if cap := o.emaL + 1.0; tg[0] > cap {
+			tg[0] = cap
+		}
+		if cap := o.emaB + 2.5; tg[1] > cap {
+			tg[1] = cap
+		}
+		if err := o.rt.SetTargets(tg); err != nil {
+			return
+		}
 	}
 	o.meas = [3]float64{s.BIPSLittle, s.BIPSBig, deltaSpareCompute(b, threads)}
 	o.ext = [4]float64{float64(b.BigCores()), float64(b.LittleCores()), b.BigFreq(), b.LittleFreq()}
@@ -433,21 +446,28 @@ func (p *Platform) newOSSSVSession(op OSParams) (*osSSVSession, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: OS SSV synthesis: %w", err)
 	}
-	return p.osSSVLayer(ctl)
+	return p.osSSVLayer(ctl, nil)
 }
 
-// osSSVLayer wires a software SSV controller and its E×D optimizer into a
-// software layer.
-func (p *Platform) osSSVLayer(ctl *robust.Controller) (*osSSVSession, error) {
+// osSSVLayer wires a software SSV controller into a software layer. With nil
+// targets its E×D optimizer moves the targets every interval; otherwise the
+// layer has no optimizer and holds the given targets [Perf_little,
+// Perf_big, ΔSC].
+func (p *Platform) osSSVLayer(ctl *robust.Controller, targets []float64) (*osSSVSession, error) {
 	rt, err := p.NewOSRuntime(ctl)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := p.osOptimizer()
+	o := &osSSVSession{rt: rt, base: p.Cfg.BasePowerW}
+	if targets != nil {
+		err = rt.SetTargets(targets)
+	} else {
+		o.opt, err = p.osOptimizer()
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &osSSVSession{rt: rt, opt: opt, base: p.Cfg.BasePowerW}, nil
+	return o, nil
 }
 
 // YuktaFullAblated builds the full SSV scheme with ablation switches: with
@@ -519,17 +539,6 @@ func (sp *splitSession) controllerHealth() supervisor.Health {
 		h = mergeHealth(h, hp.controllerHealth())
 	}
 	return h
-}
-
-// heurOSAdapter adapts a heuristic OS controller to the Session interface.
-type heurOSAdapter struct {
-	os interface {
-		Step(board.Sensors, *board.Board, int)
-	}
-}
-
-func (h *heurOSAdapter) Step(s board.Sensors, b *board.Board, threads int) {
-	h.os.Step(s, b, threads)
 }
 
 // ---- LQG schemes ---------------------------------------------------------

@@ -89,11 +89,11 @@ func (p *Platform) validatedSSV(layer string, spec func(penalty float64) *robust
 func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, error) {
 	return p.validatedSSV("HW", func(pen float64) *robust.Spec { return p.hwSpec(hp, pen) },
 		func(ctl *robust.Controller) (Session, error) {
-			hw, err := p.hwSSVLayer(ctl)
+			hw, err := p.hwSSVLayer(ctl, nil)
 			if err != nil {
 				return nil, err
 			}
-			return &splitSession{hw: hw, os: &heurOSAdapter{os: &heuristic.CoordinatedOS{}}}, nil
+			return &splitSession{hw: hw, os: &heuristic.CoordinatedOS{}}, nil
 		}, "swaptions")
 }
 
@@ -103,11 +103,11 @@ func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, er
 func (p *Platform) SynthesizeOSSSVValidated(op OSParams, hwCtl *robust.Controller) (*robust.Controller, error) {
 	return p.validatedSSV("OS", func(pen float64) *robust.Spec { return p.osSpec(op, pen) },
 		func(ctl *robust.Controller) (Session, error) {
-			hw, err := p.hwSSVLayer(hwCtl)
+			hw, err := p.hwSSVLayer(hwCtl, nil)
 			if err != nil {
 				return nil, err
 			}
-			os, err := p.osSSVLayer(ctl)
+			os, err := p.osSSVLayer(ctl, nil)
 			if err != nil {
 				return nil, err
 			}

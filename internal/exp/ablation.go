@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"yukta/internal/core"
-	"yukta/internal/workload"
 )
 
 // Ablation quantifies the contribution of the two design choices DESIGN.md
@@ -38,26 +37,7 @@ func (c *Context) AblationReport(apps []string) (*Ablation, error) {
 		c.P.YuktaFullAblated("no external signals", true, false),
 		c.P.YuktaFullAblated("no self-conditioning", false, true),
 	}
-	if c.workers() > 1 {
-		if err := c.warmSchemes(variants); err != nil {
-			return nil, err
-		}
-	}
-	grid := make([]float64, len(variants)*len(apps))
-	err := c.forEach(len(grid), func(i int) error {
-		sch := variants[i/len(apps)]
-		app := apps[i%len(apps)]
-		w, err := workload.Lookup(app)
-		if err != nil {
-			return err
-		}
-		res, err := core.Run(c.P.Cfg, sch, w, c.scalarOpts())
-		if err != nil {
-			return fmt.Errorf("exp: ablation %q on %s: %w", sch.Name, app, err)
-		}
-		grid[i] = res.ExD
-		return nil
-	})
+	res, err := c.runGrid(variants, apps, appLoader, c.scalarOpts(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +47,7 @@ func (c *Context) AblationReport(apps []string) (*Ablation, error) {
 	out := &Ablation{IntactExDperApp: map[string]float64{}}
 	for vi := range variants {
 		for ai, app := range apps {
-			exd := grid[vi*len(apps)+ai]
+			exd := res[vi*len(apps)+ai].ExD
 			totals[vi] += exd
 			if vi == 0 {
 				out.IntactExDperApp[app] = exd

@@ -41,53 +41,27 @@ func (c *Context) allSchemes() []core.Scheme {
 }
 
 // runMatrix executes every scheme on every app and fills two BarSets (E×D
-// and execution time). The (scheme, app) runs are independent — each gets a
-// fresh board and its own workload from the loader — so they fan out across
-// the context's worker pool; results land in an index-addressed slice and
-// are assembled in the sequential nesting order, keeping the rendered
-// tables byte-identical at any parallelism.
+// and execution time).
 func (c *Context) runMatrix(title string, schemes []core.Scheme, apps []string,
 	loader func(string) (workload.Workload, error)) (exd, times *BarSet, err error) {
 
-	names := make([]string, len(schemes))
-	for i, s := range schemes {
-		names[i] = s.Name
+	res, err := c.runGrid(schemes, apps, loader, c.scalarOpts(), nil)
+	if err != nil {
+		return nil, nil, err
 	}
+	names := make([]string, len(schemes))
 	exd = &BarSet{Title: title + " E×D", Metric: "Energy×Delay", Apps: apps, Schemes: names,
 		Values: map[string]map[string]float64{}}
 	times = &BarSet{Title: title + " execution time", Metric: "seconds", Apps: apps, Schemes: names,
 		Values: map[string]map[string]float64{}}
-	if c.workers() > 1 {
-		if err := c.warmSchemes(schemes); err != nil {
-			return nil, nil, err
-		}
-	}
-	type cell struct{ exd, time float64 }
-	results := make([]cell, len(schemes)*len(apps))
-	err = c.forEach(len(results), func(i int) error {
-		sch := schemes[i/len(apps)]
-		app := apps[i%len(apps)]
-		w, err := loader(app)
-		if err != nil {
-			return err
-		}
-		res, err := core.Run(c.P.Cfg, sch, w, c.scalarOpts())
-		if err != nil {
-			return fmt.Errorf("exp: %s on %s: %w", sch.Name, app, err)
-		}
-		results[i] = cell{exd: res.ExD, time: res.TimeS}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
 	for si, sch := range schemes {
+		names[si] = sch.Name
 		exd.Values[sch.Name] = map[string]float64{}
 		times.Values[sch.Name] = map[string]float64{}
 		for ai, app := range apps {
-			r := results[si*len(apps)+ai]
-			exd.Values[sch.Name][app] = r.exd
-			times.Values[sch.Name][app] = r.time
+			r := res[si*len(apps)+ai]
+			exd.Values[sch.Name][app] = r.ExD
+			times.Values[sch.Name][app] = r.TimeS
 		}
 	}
 	return exd, times, nil
@@ -124,31 +98,14 @@ func (c *Context) Fig11() (*TraceSet, error) {
 func (c *Context) traceFigure(title string, schemes []core.Scheme,
 	pick func(*core.RunResult) *series.Series) (*TraceSet, error) {
 
-	out := &TraceSet{Title: title, Series: map[string]*series.Series{}}
-	if c.workers() > 1 {
-		if err := c.warmSchemes(schemes); err != nil {
-			return nil, err
-		}
-	}
-	traces := make([]*series.Series, len(schemes))
-	err := c.forEach(len(schemes), func(i int) error {
-		w, err := workload.Lookup("blackscholes")
-		if err != nil {
-			return err
-		}
-		res, err := core.Run(c.P.Cfg, schemes[i], w, c.traceOpts())
-		if err != nil {
-			return err
-		}
-		traces[i] = pick(res)
-		return nil
-	})
+	res, err := c.runGrid(schemes, []string{"blackscholes"}, appLoader, c.traceOpts(), nil)
 	if err != nil {
 		return nil, err
 	}
+	out := &TraceSet{Title: title, Series: map[string]*series.Series{}}
 	for i, sch := range schemes {
 		out.Order = append(out.Order, sch.Name)
-		out.Series[sch.Name] = traces[i]
+		out.Series[sch.Name] = pick(res[i])
 	}
 	return out, nil
 }

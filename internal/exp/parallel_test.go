@@ -76,7 +76,8 @@ func TestForEachParallelReturnsLowestRecordedError(t *testing.T) {
 
 // TestParallelMatchesSequential is the harness determinism guarantee: the
 // same figure run fully sequentially and with a large worker pool must
-// produce identical values and byte-identical rendered tables.
+// produce identical values and byte-identical rendered tables. It covers a
+// bar-chart matrix (Fig9), a trace figure (Fig10) and the ablation sums.
 func TestParallelMatchesSequential(t *testing.T) {
 	c := testContext(t)
 	apps := []string{"gamess", "blackscholes"}
@@ -100,5 +101,32 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if got, want := timesP.Render(), timesS.Render(); got != want {
 		t.Errorf("rendered time tables differ:\n--- sequential ---\n%s\n--- parallel ---\n%s", want, got)
+	}
+
+	trS, err := seq.Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trP, err := par.Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(trS, trP) {
+		t.Errorf("Fig10 traces differ between sequential and parallel runs")
+	}
+	if got, want := trP.Render(), trS.Render(); got != want {
+		t.Errorf("rendered Fig10 differs:\n--- sequential ---\n%s\n--- parallel ---\n%s", want, got)
+	}
+
+	ablS, err := seq.AblationReport(apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ablP, err := par.AblationReport(apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ablS, ablP) {
+		t.Errorf("ablation differs between sequential and parallel runs:\nseq: %+v\npar: %+v", ablS, ablP)
 	}
 }

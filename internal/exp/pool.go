@@ -5,7 +5,9 @@ import (
 	"runtime"
 
 	"yukta/internal/core"
+	"yukta/internal/obs"
 	"yukta/internal/pool"
+	"yukta/internal/workload"
 )
 
 // Options configures the experiment harness.
@@ -68,12 +70,12 @@ func (c *Context) forEach(n int, fn func(i int) error) error {
 	return pool.ForEachMetered(c.workers(), n, c.Metrics, fn)
 }
 
-// warmSchemes builds one session per scheme concurrently before the run
-// matrix fans out. Controller synthesis is the expensive part of a session
-// and is single-flighted in the Platform caches, so without this step every
-// worker that picks up the first scheme's jobs would block on the same
-// cache entry; warming instead synthesizes the distinct controllers in
-// parallel, once each.
+// warmSchemes builds one session per scheme concurrently before a run grid
+// fans out. Controller synthesis is the expensive part of a session and is
+// single-flighted in the Platform caches, so without this step every worker
+// that picks up the first scheme's jobs would block on the same cache entry;
+// warming instead synthesizes the distinct controllers in parallel, once
+// each.
 func (c *Context) warmSchemes(schemes []core.Scheme) error {
 	return c.forEach(len(schemes), func(i int) error {
 		if _, err := schemes[i].New(); err != nil {
@@ -81,4 +83,68 @@ func (c *Context) warmSchemes(schemes []core.Scheme) error {
 		}
 		return nil
 	})
+}
+
+// gridLevel is one operating point of a run grid.
+type gridLevel struct {
+	// label follows "<scheme> on <app>" in the cell's error text.
+	label string
+	// edit adjusts the base options of every cell at this level (the fault
+	// plan); nil runs the base options.
+	edit func(*core.RunOptions)
+	// trace, when non-empty and the context has a TraceDir, attaches a
+	// flight recorder to every cell and writes it as
+	// <trace>-<scheme>-<app>.
+	trace string
+}
+
+// runGrid is the harness's one fan-out: it runs every scheme on every app at
+// every level (nil levels means one plain level) and returns the results
+// level-major, then scheme, then app. The cells are independent — each gets
+// a fresh board, a fresh session and its own workload from load — so they
+// spread over the worker pool, and each writes its own slot, which keeps
+// every table built from the grid byte-identical at any parallelism.
+func (c *Context) runGrid(schemes []core.Scheme, apps []string,
+	load func(string) (workload.Workload, error), base core.RunOptions,
+	levels []gridLevel) ([]*core.RunResult, error) {
+
+	if levels == nil {
+		levels = []gridLevel{{}}
+	}
+	if c.workers() > 1 {
+		if err := c.warmSchemes(schemes); err != nil {
+			return nil, err
+		}
+	}
+	nPer := len(schemes) * len(apps)
+	out := make([]*core.RunResult, len(levels)*nPer)
+	err := c.forEach(len(out), func(i int) error {
+		lv := levels[i/nPer]
+		sch := schemes[(i%nPer)/len(apps)]
+		app := apps[i%len(apps)]
+		w, err := load(app)
+		if err != nil {
+			return err
+		}
+		opt := base
+		if lv.edit != nil {
+			lv.edit(&opt)
+		}
+		var rec *obs.Recorder
+		if lv.trace != "" && c.TraceDir != "" {
+			rec = obs.NewRecorder(traceCapacity(opt))
+			opt.Trace = rec
+		}
+		if out[i], err = core.Run(c.P.Cfg, sch, w, opt); err != nil {
+			return fmt.Errorf("exp: %s on %s%s: %w", sch.Name, app, lv.label, err)
+		}
+		if rec != nil {
+			return c.writeTrace(lv.trace+"-"+cleanName(sch.Name)+"-"+cleanName(app), rec)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

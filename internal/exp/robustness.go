@@ -8,8 +8,6 @@ import (
 	"yukta/internal/core"
 	"yukta/internal/fault"
 	"yukta/internal/series"
-	"yukta/internal/supervisor"
-	"yukta/internal/workload"
 )
 
 // DefaultIntensities is the fault-intensity grid the robustness sweep uses
@@ -138,123 +136,109 @@ func (c *Context) RobustnessSweep(apps []string, intensities []float64) (*Robust
 		intensities = DefaultIntensities()
 	}
 	schemes := c.robustSchemes()
-	names := make([]string, len(schemes))
-	for i, s := range schemes {
-		names[i] = s.Name
-	}
-	if c.workers() > 1 {
-		if err := c.warmSchemes(schemes); err != nil {
-			return nil, err
+	// Levels: the clean operating point, then each intensity.
+	levels := make([]gridLevel, 1+len(intensities))
+	for k, s := range append([]float64{0}, intensities...) {
+		levels[k] = gridLevel{
+			label: fmt.Sprintf(" at intensity %.2f", s),
+			edit:  func(opt *core.RunOptions) { opt.Faults = fault.Preset(c.Seed, s) },
+			trace: fmt.Sprintf("robust-s%.2f", s),
 		}
 	}
-
-	// Jobs: intensity-major (clean level first), then scheme, then app.
-	levels := append([]float64{0}, intensities...)
-	type cell struct {
-		exd       float64
-		completed bool
-		stats     fault.Stats
-		sup       *supervisor.Stats
-		intervalS float64
-	}
-	nPer := len(schemes) * len(apps)
-	results := make([]cell, len(levels)*nPer)
-	err := c.forEach(len(results), func(i int) error {
-		s := levels[i/nPer]
-		sch := schemes[(i%nPer)/len(apps)]
-		app := apps[i%len(apps)]
-		w, err := workload.Lookup(app)
-		if err != nil {
-			return err
-		}
-		opt := c.scalarOpts()
-		opt.Faults = fault.Preset(c.Seed, s)
-		rec := c.attachRecorder(&opt)
-		res, err := core.Run(c.P.Cfg, sch, w, opt)
-		if err != nil {
-			return fmt.Errorf("exp: %s on %s at intensity %.2f: %w", sch.Name, app, s, err)
-		}
-		if rec != nil {
-			stem := fmt.Sprintf("robust-s%.2f-%s-%s", s, cleanName(sch.Name), cleanName(app))
-			if err := c.writeTrace(stem, rec); err != nil {
-				return err
-			}
-		}
-		results[i] = cell{exd: res.ExD, completed: res.Completed, stats: res.Faults,
-			sup: res.Supervisor, intervalS: res.IntervalS}
-		return nil
-	})
+	res, err := c.runGrid(schemes, apps, appLoader, c.scalarOpts(), levels)
 	if err != nil {
 		return nil, err
 	}
+	rows, incomplete := aggregateSweep(res, len(schemes), len(apps))
 
 	out := &RobustnessTable{
 		Title:       "Robustness sweep: E×D degradation vs fault intensity",
 		Seed:        c.Seed,
 		Intensities: intensities,
-		Schemes:     names,
 		Apps:        apps,
 		CleanExD:    map[string]float64{},
 		Degradation: map[string][]float64{},
 		Faults:      make([]fault.Stats, len(intensities)),
+		Incomplete:  incomplete,
 	}
-	at := func(level, si, ai int) cell { return results[level*nPer+si*len(apps)+ai] }
-	for si, name := range names {
-		logSum := 0.0
-		for ai := range apps {
-			cl := at(0, si, ai)
-			if !cl.completed {
-				out.Incomplete++
-			}
-			logSum += math.Log(cl.exd)
-		}
-		out.CleanExD[name] = math.Exp(logSum / float64(len(apps)))
-		degr := make([]float64, len(intensities))
-		for k := range intensities {
-			logSum := 0.0
-			for ai := range apps {
-				f := at(k+1, si, ai)
-				if !f.completed {
-					out.Incomplete++
-				}
-				logSum += math.Log(f.exd / at(0, si, ai).exd)
-			}
-			degr[k] = math.Exp(logSum / float64(len(apps)))
-		}
-		out.Degradation[name] = degr
-	}
-	for k := range intensities {
-		var tot fault.Stats
-		for si := range schemes {
-			for ai := range apps {
-				st := at(k+1, si, ai).stats
-				tot.DroppedReadings += st.DroppedReadings
-				tot.StaleReadings += st.StaleReadings
-				tot.HeldCommands += st.HeldCommands
-				tot.SkewedCommands += st.SkewedCommands
-				tot.ForcedThrottles += st.ForcedThrottles
-			}
-		}
-		out.Faults[k] = tot
-	}
-	for si, name := range names {
-		supervised := false
-		aggs := make([]SupervisorAgg, len(levels))
-		for level := range levels {
-			for ai := range apps {
-				c := at(level, si, ai)
-				if c.sup != nil {
-					supervised = true
-					aggs[level].add(*c.sup, c.intervalS)
-				}
-			}
-		}
-		if supervised {
+	for si, sch := range schemes {
+		out.Schemes = append(out.Schemes, sch.Name)
+		out.CleanExD[sch.Name] = rows[si].cleanExD
+		out.Degradation[sch.Name] = rows[si].degradation
+		if rows[si].supervised {
 			if out.Supervised == nil {
 				out.Supervised = map[string][]SupervisorAgg{}
 			}
-			out.Supervised[name] = aggs
+			out.Supervised[sch.Name] = rows[si].sup
+		}
+	}
+	nPer := len(schemes) * len(apps)
+	for k := range intensities {
+		tot := &out.Faults[k]
+		for _, r := range res[(k+1)*nPer : (k+2)*nPer] {
+			tot.DroppedReadings += r.Faults.DroppedReadings
+			tot.StaleReadings += r.Faults.StaleReadings
+			tot.HeldCommands += r.Faults.HeldCommands
+			tot.SkewedCommands += r.Faults.SkewedCommands
+			tot.ForcedThrottles += r.Faults.ForcedThrottles
 		}
 	}
 	return out, nil
+}
+
+// sweepRow is one scheme's row of a fault-sweep grid, aggregated across
+// apps.
+type sweepRow struct {
+	// cleanExD is the geometric-mean E×D at the clean level.
+	cleanExD float64
+	// degradation[k] is the geometric mean over apps of the E×D at faulted
+	// level k+1 over the same app's clean E×D.
+	degradation []float64
+	// sup[level] aggregates the supervisory accounting at each level, clean
+	// first; supervised reports whether any of the scheme's runs carried it.
+	sup        []SupervisorAgg
+	supervised bool
+}
+
+// aggregateSweep reduces a fault-sweep grid from runGrid (clean level first,
+// then the faulted levels) to one row per scheme, and counts the runs that
+// hit the MaxTime abort instead of finishing (their E×D still enters the
+// rows, charged at the aborted horizon). Cells are read in the sequential
+// order, so the float sums do not depend on worker scheduling.
+func aggregateSweep(res []*core.RunResult, nSchemes, nApps int) (rows []sweepRow, incomplete int) {
+	nPer := nSchemes * nApps
+	nLevels := len(res) / nPer
+	at := func(level, si, ai int) *core.RunResult { return res[level*nPer+si*nApps+ai] }
+	for _, r := range res {
+		if !r.Completed {
+			incomplete++
+		}
+	}
+	rows = make([]sweepRow, nSchemes)
+	for si := range rows {
+		row := &rows[si]
+		logSum := 0.0
+		for ai := 0; ai < nApps; ai++ {
+			logSum += math.Log(at(0, si, ai).ExD)
+		}
+		row.cleanExD = math.Exp(logSum / float64(nApps))
+		row.degradation = make([]float64, nLevels-1)
+		for k := range row.degradation {
+			logSum := 0.0
+			for ai := 0; ai < nApps; ai++ {
+				logSum += math.Log(at(k+1, si, ai).ExD / at(0, si, ai).ExD)
+			}
+			row.degradation[k] = math.Exp(logSum / float64(nApps))
+		}
+		row.sup = make([]SupervisorAgg, nLevels)
+		for level := range row.sup {
+			for ai := 0; ai < nApps; ai++ {
+				if r := at(level, si, ai); r.Supervisor != nil {
+					row.sup[level].add(*r.Supervisor, r.IntervalS)
+					row.supervised = true
+				}
+			}
+		}
+	}
+	return rows, incomplete
 }

@@ -10,49 +10,40 @@ import (
 	"yukta/internal/workload"
 )
 
-// boundsVariants are the §VI-E1 output-deviation-bound settings: the paper's
-// default ±20% performance bound (±1 BIPS in their absolute terms), then
-// ±30% and ±50%, with the critical outputs scaled proportionally.
-func boundsVariants() []struct {
+// ssvVariant is one labelled setting of the two SSV layers' design
+// parameters.
+type ssvVariant struct {
 	Label string
 	HW    core.HWParams
 	OS    core.OSParams
-} {
-	mk := func(label string, scale float64) struct {
-		Label string
-		HW    core.HWParams
-		OS    core.OSParams
-	} {
+}
+
+// boundsVariants are the §VI-E1 output-deviation-bound settings: the paper's
+// default ±20% performance bound (±1 BIPS in their absolute terms), then
+// ±30% and ±50%, with the critical outputs scaled proportionally.
+func boundsVariants() []ssvVariant {
+	mk := func(label string, scale float64) ssvVariant {
 		hw := core.DefaultHWParams()
 		hw.PerfBoundFrac *= scale
 		hw.CriticalBoundFrac *= scale
 		os := core.DefaultOSParams()
 		os.BoundFrac *= scale
-		return struct {
-			Label string
-			HW    core.HWParams
-			OS    core.OSParams
-		}{label, hw, os}
+		return ssvVariant{label, hw, os}
 	}
-	return []struct {
-		Label string
-		HW    core.HWParams
-		OS    core.OSParams
-	}{
+	return []ssvVariant{
 		mk("±20% (paper default)", 1.0),
 		mk("±30%", 1.5),
 		mk("±50%", 2.5),
 	}
 }
 
-// Fig15a reproduces Figure 15(a): performance of blackscholes versus time
-// with fixed output targets, for the three output-deviation-bound settings.
-// Targets follow §VI-E1: Perf 5.5 BIPS, big power 2.5 W, little power 0.2 W,
-// temperature 70 °C; OS targets 1 / 4.5 BIPS and ΔSC = 1.
-func (c *Context) Fig15a() (*TraceSet, error) {
-	out := &TraceSet{Title: "Figure 15(a): fixed-target tracking, blackscholes (target 5.5 BIPS)",
-		Series: map[string]*series.Series{}}
-	vs := boundsVariants()
+// fixedTargetFigure runs blackscholes for 500 s under each variant's SSV
+// layers holding the §VI-E1 fixed targets — Perf 5.5 BIPS, big power 2.5 W,
+// little power 0.2 W, temperature 70 °C; OS targets 1 / 4.5 BIPS and
+// ΔSC = 1 — and plots pick of each run.
+func (c *Context) fixedTargetFigure(title string, vs []ssvVariant,
+	pick func(*core.RunResult) *series.Series) (*TraceSet, error) {
+
 	traces := make([]*series.Series, len(vs))
 	err := c.forEach(len(vs), func(i int) error {
 		v := vs[i]
@@ -76,17 +67,25 @@ func (c *Context) Fig15a() (*TraceSet, error) {
 		if err != nil {
 			return err
 		}
-		traces[i] = res.Perf
+		traces[i] = pick(res)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	out := &TraceSet{Title: title, Series: map[string]*series.Series{}}
 	for i, v := range vs {
 		out.Order = append(out.Order, v.Label)
 		out.Series[v.Label] = traces[i]
 	}
 	return out, nil
+}
+
+// Fig15a reproduces Figure 15(a): performance of blackscholes versus time
+// with fixed output targets, for the three output-deviation-bound settings.
+func (c *Context) Fig15a() (*TraceSet, error) {
+	return c.fixedTargetFigure("Figure 15(a): fixed-target tracking, blackscholes (target 5.5 BIPS)",
+		boundsVariants(), func(r *core.RunResult) *series.Series { return r.Perf })
 }
 
 // Fig15b reproduces Figure 15(b): average E×D of Yukta: HW SSV+OS SSV for
@@ -98,7 +97,6 @@ func (c *Context) Fig15b(apps []string) (*BarSet, error) {
 	}
 	schemes := []core.Scheme{c.P.CoordinatedHeuristic()}
 	for _, v := range boundsVariants() {
-		v := v
 		sch := c.P.YuktaFullSSV(v.HW, v.OS)
 		sch.Name = "Yukta " + v.Label
 		schemes = append(schemes, sch)
@@ -179,48 +177,14 @@ func (c *Context) Fig16b(apps []string) (*BarSet, error) {
 // Fig17 reproduces Figure 17: big-cluster power versus time when tracking a
 // fixed 2.5 W big-power target, for input weights 0.5, 1 and 2.
 func (c *Context) Fig17() (*TraceSet, error) {
-	out := &TraceSet{Title: "Figure 17: big-cluster power (W) tracking 2.5 W, by input weight",
-		Series: map[string]*series.Series{}}
-	weights := []float64{0.5, 1, 2}
-	labels := make([]string, len(weights))
-	traces := make([]*series.Series, len(weights))
-	err := c.forEach(len(weights), func(i int) error {
-		w := weights[i]
+	var vs []ssvVariant
+	for _, w := range []float64{0.5, 1, 2} {
 		hp := core.DefaultHWParams()
 		hp.InputWeight = w
-		hw, err := c.P.NewFixedHWSession(hp, []float64{5.5, 2.5, 0.2, 70})
-		if err != nil {
-			return err
-		}
-		os, err := c.P.NewFixedOSSession(core.DefaultOSParams(), []float64{1, 4.5, 1})
-		if err != nil {
-			return err
-		}
-		label := fmt.Sprintf("input weights %.1f", w)
-		sch := core.Scheme{Name: label, New: func() (core.Session, error) {
-			return &core.FixedTargetSession{HW: hw, OS: os}, nil
-		}}
-		wk, err := workload.Lookup("blackscholes")
-		if err != nil {
-			return err
-		}
-		res, err := core.Run(c.P.Cfg, sch, wk,
-			core.RunOptions{MaxTime: 500 * time.Second, Metrics: c.Metrics})
-		if err != nil {
-			return err
-		}
-		labels[i] = label
-		traces[i] = res.BigPower
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		vs = append(vs, ssvVariant{fmt.Sprintf("input weights %.1f", w), hp, core.DefaultOSParams()})
 	}
-	for i := range weights {
-		out.Order = append(out.Order, labels[i])
-		out.Series[labels[i]] = traces[i]
-	}
-	return out, nil
+	return c.fixedTargetFigure("Figure 17: big-cluster power (W) tracking 2.5 W, by input weight",
+		vs, func(r *core.RunResult) *series.Series { return r.BigPower })
 }
 
 // HWCost reproduces §VI-D: the hardware-implementation characteristics of

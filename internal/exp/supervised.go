@@ -2,14 +2,12 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"yukta/internal/core"
 	"yukta/internal/fault"
 	"yukta/internal/series"
 	"yukta/internal/supervisor"
-	"yukta/internal/workload"
 )
 
 // DefaultClassIntensity is the fault intensity the per-class supervised
@@ -122,55 +120,21 @@ func (c *Context) SupervisedClassSweep(apps []string, intensity float64) (*Class
 		c.P.YuktaFullSSV(core.DefaultHWParams(), core.DefaultOSParams()),
 		c.P.SupervisedYuktaSSV(core.DefaultHWParams(), core.DefaultOSParams()),
 	}
-	if c.workers() > 1 {
-		if err := c.warmSchemes(schemes); err != nil {
-			return nil, err
-		}
-	}
 	classes := fault.ClassNames()
-
-	// Jobs: level-major (clean first, then each class), then scheme, then app.
-	levels := append([]string{"clean"}, classes...)
-	type cell struct {
-		exd       float64
-		completed bool
-		sup       *supervisor.Stats
-		intervalS float64
+	// Levels: the clean operating point, then each isolated fault class.
+	levels := make([]gridLevel, 1+len(classes))
+	for k, class := range append([]string{"clean"}, classes...) {
+		levels[k] = gridLevel{label: " under " + class + " faults", trace: "class-" + cleanName(class)}
+		if k > 0 {
+			levels[k].edit = func(opt *core.RunOptions) { opt.Faults = fault.PresetClass(c.Seed, intensity, class) }
+		}
 	}
-	nPer := len(schemes) * len(apps)
-	results := make([]cell, len(levels)*nPer)
-	err := c.forEach(len(results), func(i int) error {
-		level := levels[i/nPer]
-		sch := schemes[(i%nPer)/len(apps)]
-		app := apps[i%len(apps)]
-		w, err := workload.Lookup(app)
-		if err != nil {
-			return err
-		}
-		opt := c.scalarOpts()
-		if level != "clean" {
-			opt.Faults = fault.PresetClass(c.Seed, intensity, level)
-		}
-		rec := c.attachRecorder(&opt)
-		res, err := core.Run(c.P.Cfg, sch, w, opt)
-		if err != nil {
-			return fmt.Errorf("exp: %s on %s under %s faults: %w", sch.Name, app, level, err)
-		}
-		if rec != nil {
-			stem := fmt.Sprintf("class-%s-%s-%s", cleanName(level), cleanName(sch.Name), cleanName(app))
-			if err := c.writeTrace(stem, rec); err != nil {
-				return err
-			}
-		}
-		results[i] = cell{exd: res.ExD, completed: res.Completed,
-			sup: res.Supervisor, intervalS: res.IntervalS}
-		return nil
-	})
+	res, err := c.runGrid(schemes, apps, appLoader, c.scalarOpts(), levels)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &ClassTable{
+	rows, incomplete := aggregateSweep(res, len(schemes), len(apps))
+	return &ClassTable{
 		Title:            "Supervised vs unsupervised SSV: E×D degradation per fault class",
 		Seed:             c.Seed,
 		Intensity:        intensity,
@@ -178,37 +142,10 @@ func (c *Context) SupervisedClassSweep(apps []string, intensity float64) (*Class
 		Apps:             apps,
 		Unsupervised:     schemes[0].Name,
 		Supervised:       schemes[1].Name,
-		UnsupDegradation: make([]float64, len(classes)),
-		SupDegradation:   make([]float64, len(classes)),
-		SupStats:         make([]SupervisorAgg, len(classes)),
-	}
-	at := func(level, si, ai int) cell { return results[level*nPer+si*len(apps)+ai] }
-	for _, si := range []int{0, 1} {
-		for ai := range apps {
-			cl := at(0, si, ai)
-			if !cl.completed {
-				out.Incomplete++
-			}
-			if si == 1 && cl.sup != nil {
-				out.CleanStats.add(*cl.sup, cl.intervalS)
-			}
-		}
-	}
-	for k := range classes {
-		for si, dst := range []*[]float64{&out.UnsupDegradation, &out.SupDegradation} {
-			logSum := 0.0
-			for ai := range apps {
-				f := at(k+1, si, ai)
-				if !f.completed {
-					out.Incomplete++
-				}
-				logSum += math.Log(f.exd / at(0, si, ai).exd)
-				if si == 1 && f.sup != nil {
-					out.SupStats[k].add(*f.sup, f.intervalS)
-				}
-			}
-			(*dst)[k] = math.Exp(logSum / float64(len(apps)))
-		}
-	}
-	return out, nil
+		UnsupDegradation: rows[0].degradation,
+		SupDegradation:   rows[1].degradation,
+		SupStats:         rows[1].sup[1:],
+		CleanStats:       rows[1].sup[0],
+		Incomplete:       incomplete,
+	}, nil
 }

@@ -10,19 +10,6 @@ import (
 	"yukta/internal/obs"
 )
 
-// attachRecorder allocates a flight recorder sized to opt's horizon and sets
-// it as opt.Trace when the context has a TraceDir; it returns nil (leaving
-// opt untouched) otherwise. Each run gets its own recorder, so parallel
-// sweeps never interleave records.
-func (c *Context) attachRecorder(opt *core.RunOptions) *obs.Recorder {
-	if c.TraceDir == "" {
-		return nil
-	}
-	rec := obs.NewRecorder(traceCapacity(*opt))
-	opt.Trace = rec
-	return rec
-}
-
 // traceCapacity sizes a recorder to hold every interval of a run bounded by
 // opt (using core.Run's defaults for unset fields), so sweep traces never
 // drop records.

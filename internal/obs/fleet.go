@@ -83,48 +83,13 @@ func FleetSchemaFields() []string { return fieldNames(fleetSchema) }
 // recorder per fleet run, not safe for concurrent use (the fleet runner adds
 // from its single coordination goroutine).
 type FleetRecorder struct {
-	buf   []FleetRecord
-	total int
+	ring[FleetRecord]
 }
 
 // NewFleetRecorder returns a recorder retaining the last capacity records
 // (DefaultCapacity when capacity <= 0).
 func NewFleetRecorder(capacity int) *FleetRecorder {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &FleetRecorder{buf: make([]FleetRecord, capacity)}
-}
-
-// Add appends one interval's record, overwriting the oldest retained record
-// once the ring is full. It performs no allocation.
-func (r *FleetRecorder) Add(rec FleetRecord) {
-	r.buf[r.total%len(r.buf)] = rec
-	r.total++
-}
-
-// Len returns the number of records currently retained.
-func (r *FleetRecorder) Len() int {
-	if r.total < len(r.buf) {
-		return r.total
-	}
-	return len(r.buf)
-}
-
-// Total returns the number of records ever added.
-func (r *FleetRecorder) Total() int { return r.total }
-
-// Dropped returns how many early records the ring has overwritten.
-func (r *FleetRecorder) Dropped() int {
-	if d := r.total - len(r.buf); d > 0 {
-		return d
-	}
-	return 0
-}
-
-// At returns the i-th oldest retained record (0 <= i < Len()).
-func (r *FleetRecorder) At(i int) FleetRecord {
-	return r.buf[(r.total-r.Len()+i)%len(r.buf)]
+	return &FleetRecorder{ring: newRing[FleetRecord](capacity)}
 }
 
 // WriteJSONL writes the retained fleet records as one JSON object per line,

@@ -163,28 +163,40 @@ type Recorder struct {
 	// registry's per-scheme histograms.
 	IncludeLatency bool
 
-	buf   []Record
-	total int
+	ring[Record]
 }
 
 // NewRecorder returns a recorder retaining the last capacity records
 // (DefaultCapacity when capacity <= 0).
 func NewRecorder(capacity int) *Recorder {
+	return &Recorder{ring: newRing[Record](capacity)}
+}
+
+// ring is the fixed-capacity ring buffer Recorder and FleetRecorder embed.
+// All memory is allocated in newRing; Add never allocates.
+type ring[T any] struct {
+	buf   []T
+	total int
+}
+
+// newRing returns a ring retaining the last capacity records
+// (DefaultCapacity when capacity <= 0).
+func newRing[T any](capacity int) ring[T] {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Record, capacity)}
+	return ring[T]{buf: make([]T, capacity)}
 }
 
 // Add appends one interval's record, overwriting the oldest retained record
 // once the ring is full. It performs no allocation.
-func (r *Recorder) Add(rec Record) {
+func (r *ring[T]) Add(rec T) {
 	r.buf[r.total%len(r.buf)] = rec
 	r.total++
 }
 
 // Len returns the number of records currently retained.
-func (r *Recorder) Len() int {
+func (r *ring[T]) Len() int {
 	if r.total < len(r.buf) {
 		return r.total
 	}
@@ -192,10 +204,10 @@ func (r *Recorder) Len() int {
 }
 
 // Total returns the number of records ever added.
-func (r *Recorder) Total() int { return r.total }
+func (r *ring[T]) Total() int { return r.total }
 
 // Dropped returns how many early records the ring has overwritten.
-func (r *Recorder) Dropped() int {
+func (r *ring[T]) Dropped() int {
 	if d := r.total - len(r.buf); d > 0 {
 		return d
 	}
@@ -203,6 +215,6 @@ func (r *Recorder) Dropped() int {
 }
 
 // At returns the i-th oldest retained record (0 <= i < Len()).
-func (r *Recorder) At(i int) Record {
+func (r *ring[T]) At(i int) T {
 	return r.buf[(r.total-r.Len()+i)%len(r.buf)]
 }

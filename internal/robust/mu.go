@@ -139,16 +139,6 @@ func SystemMuLower(sys *lti.StateSpace, nGrid int) (float64, error) {
 	return gridPeak(sys, nGrid, MuLowerBound)
 }
 
-// SystemMuBounds returns lower and upper bounds on the peak structured
-// singular value of sys over the unit circle (the pair MATLAB's mussv
-// reports).
-func SystemMuBounds(sys *lti.StateSpace, nGrid int) (lo, hi float64, err error) {
-	if lo, err = SystemMuLower(sys, nGrid); err == nil {
-		hi, err = SystemMu(sys, nGrid)
-	}
-	return lo, hi, err
-}
-
 // gridPeak evaluates bound on G(e^{jθ}) at θ = πi/nGrid for i = 0…nGrid and
 // returns the largest value, or +Inf when sys has a pole on the unit circle.
 // The points are spread over GOMAXPROCS workers; each writes its own slot

@@ -360,10 +360,6 @@ func TestSystemMuGridDeterministic(t *testing.T) {
 		if math.Float64bits(lo) != math.Float64bits(refLo) {
 			t.Errorf("GOMAXPROCS=%d: SystemMuLower %v, serial reference %v", procs, lo, refLo)
 		}
-		blo, bhi, err := SystemMuBounds(cl, 24)
-		if err != nil || blo != lo || bhi != hi {
-			t.Errorf("GOMAXPROCS=%d: SystemMuBounds = (%v, %v, %v), want (%v, %v, nil)", procs, blo, bhi, err, lo, hi)
-		}
 	}
 }
 

@@ -157,7 +157,11 @@ func TestSystemMuBoundsOrdered(t *testing.T) {
 		n := 2 + rng.Intn(3)
 		io := 2 + rng.Intn(2)
 		sys := randStable(rng, n, io, io)
-		lo, hi, err := SystemMuBounds(sys, 16)
+		lo, err := SystemMuLower(sys, 16)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		hi, err := SystemMu(sys, 16)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

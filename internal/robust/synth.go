@@ -165,6 +165,14 @@ func (s *Spec) resolveTargetScales() []float64 {
 	return out
 }
 
+// integralWeight returns IntegralWeight, or its default 0.05 when unset.
+func (s *Spec) integralWeight() float64 {
+	if s.IntegralWeight <= 0 {
+		return 0.05
+	}
+	return s.IntegralWeight
+}
+
 // Synthesize runs the SSV design loop: it proposes controller candidates of
 // decreasing aggressiveness (increasing control penalty rho), evaluates the
 // structured singular value of each candidate's closed loop against the
@@ -183,10 +191,6 @@ func Synthesize(spec *Spec) (*Controller, error) {
 		return nil, err
 	}
 	tScales := spec.resolveTargetScales()
-	intW := spec.IntegralWeight
-	if intW <= 0 {
-		intW = 0.05
-	}
 
 	// The rho ladder: most aggressive first. Geometric spacing covers the
 	// regimes from eager to sluggish controllers (paper §VI-E3).
@@ -200,45 +204,16 @@ func Synthesize(spec *Spec) (*Controller, error) {
 	}
 	for step := 0; step < 12; step++ {
 		iters++
-		k, err := designCandidate(spec, rho, intW, true)
+		cand, err := ssvCandidate(spec, rho, tScales)
 		if err != nil {
 			rho *= 2
 			continue
 		}
-		ssv, err := evaluateSSV(spec, k, tScales)
-		if err != nil {
-			rho *= 2
-			continue
-		}
-		cand := &Controller{
-			K:         k,
-			NumOut:    spec.Plant.Outputs(),
-			NumExt:    spec.Plant.Inputs() - spec.NumControls,
-			NumCtrl:   spec.NumControls,
-			IntStart:  spec.Plant.Order(),
-			IntCount:  spec.Plant.Outputs(),
-			UFeedback: true,
-			Report: Report{
-				SSV:            ssv,
-				MinS:           1 / ssv,
-				Iterations:     iters,
-				ControlPenalty: rho,
-				StateDim:       k.Order(),
-			},
-		}
-		cand.Report.GuaranteedBounds = make([]float64, len(spec.OutputBounds))
-		infl := ssv
-		if infl < 1 {
-			infl = 1
-		}
-		for i, b := range spec.OutputBounds {
-			cand.Report.GuaranteedBounds[i] = b * infl
-		}
+		cand.Report.Iterations = iters
 		if bestCtl == nil || cand.Report.SSV < bestCtl.Report.SSV {
 			bestCtl = cand
 		}
-		if ssv <= 1 {
-			cand.Report.Iterations = iters
+		if cand.Report.SSV <= 1 {
 			return cand, nil
 		}
 		rho *= 2
@@ -248,6 +223,42 @@ func Synthesize(spec *Spec) (*Controller, error) {
 	}
 	bestCtl.Report.Iterations = iters
 	return bestCtl, nil
+}
+
+// ssvCandidate designs the SSV candidate at control penalty rho and reports
+// its structured singular value and the bounds it guarantees: the requested
+// bounds inflated by max(1, SSV).
+func ssvCandidate(spec *Spec, rho float64, tScales []float64) (*Controller, error) {
+	k, err := designCandidate(spec, rho, spec.integralWeight(), true)
+	if err != nil {
+		return nil, err
+	}
+	ssv, err := evaluateSSV(spec, k, tScales)
+	if err != nil {
+		return nil, err
+	}
+	infl := math.Max(ssv, 1)
+	gb := make([]float64, len(spec.OutputBounds))
+	for i, b := range spec.OutputBounds {
+		gb[i] = b * infl
+	}
+	return &Controller{
+		K:         k,
+		NumOut:    spec.Plant.Outputs(),
+		NumExt:    spec.Plant.Inputs() - spec.NumControls,
+		NumCtrl:   spec.NumControls,
+		IntStart:  spec.Plant.Order(),
+		IntCount:  spec.Plant.Outputs(),
+		UFeedback: true,
+		Report: Report{
+			SSV:              ssv,
+			MinS:             1 / ssv,
+			GuaranteedBounds: gb,
+			Iterations:       1,
+			ControlPenalty:   rho,
+			StateDim:         k.Order(),
+		},
+	}, nil
 }
 
 // ssvLowerGrid is the frequency grid of the reported SSV lower bound.
@@ -282,43 +293,7 @@ func DesignAtPenalty(spec *Spec, rho float64) (*Controller, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	intW := spec.IntegralWeight
-	if intW <= 0 {
-		intW = 0.05
-	}
-	k, err := designCandidate(spec, rho, intW, true)
-	if err != nil {
-		return nil, err
-	}
-	ssv, err := evaluateSSV(spec, k, spec.resolveTargetScales())
-	if err != nil {
-		return nil, err
-	}
-	cand := &Controller{
-		K:         k,
-		NumOut:    spec.Plant.Outputs(),
-		NumExt:    spec.Plant.Inputs() - spec.NumControls,
-		NumCtrl:   spec.NumControls,
-		IntStart:  spec.Plant.Order(),
-		IntCount:  spec.Plant.Outputs(),
-		UFeedback: true,
-		Report: Report{
-			SSV:            ssv,
-			MinS:           1 / ssv,
-			Iterations:     1,
-			ControlPenalty: rho,
-			StateDim:       k.Order(),
-		},
-	}
-	cand.Report.GuaranteedBounds = make([]float64, len(spec.OutputBounds))
-	infl := ssv
-	if infl < 1 {
-		infl = 1
-	}
-	for i, b := range spec.OutputBounds {
-		cand.Report.GuaranteedBounds[i] = b * infl
-	}
-	return cand, nil
+	return ssvCandidate(spec, rho, spec.resolveTargetScales())
 }
 
 // SynthesizeLQG builds the paper's §VI-B baseline: a plain MIMO LQG servo
@@ -330,10 +305,6 @@ func SynthesizeLQG(spec *Spec) (*Controller, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	intW := spec.IntegralWeight
-	if intW <= 0 {
-		intW = 0.05
-	}
 	// The LQG design frameworks the paper compares against ([35], [41]) are
 	// not natively optimized for uncertainty: they use guardbands only to
 	// discard unstable designs and, when that triggers, inflate the weights
@@ -342,7 +313,7 @@ func SynthesizeLQG(spec *Spec) (*Controller, error) {
 	// in contrast to the SSV loop whose μ certificate admits aggressive
 	// designs under the same guardband.
 	const lqgDetunedPenalty = 4.0
-	k, err := designCandidate(spec, lqgDetunedPenalty, intW, false)
+	k, err := designCandidate(spec, lqgDetunedPenalty, spec.integralWeight(), false)
 	if err != nil {
 		return nil, err
 	}
