@@ -35,6 +35,7 @@ import (
 	"strings"
 
 	"yukta/internal/exp"
+	"yukta/internal/fleet"
 	"yukta/internal/obs"
 )
 
@@ -50,6 +51,28 @@ func checkFigure(name string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown figure %q (valid: %s)", name, strings.Join(figures, " "))
+}
+
+// checkFleet rejects a -fleetpolicy that is neither "all" nor a policy
+// fleet.NewPolicy builds, and a -fleet-topo that fleet.ParseTopology
+// rejects or, with a -fleet sweep, whose tree does not cover its boards.
+func checkFleet(policy, topo string, boards int) error {
+	if policy != "all" {
+		if _, err := fleet.NewPolicy(policy); err != nil {
+			return fmt.Errorf("-fleetpolicy: %w, or \"all\" for both", err)
+		}
+	}
+	if topo == "" {
+		return nil
+	}
+	t, err := fleet.ParseTopology(topo)
+	if err != nil {
+		return fmt.Errorf("-fleet-topo: %w", err)
+	}
+	if boards > 0 && t.Boards != boards {
+		return fmt.Errorf("-fleet-topo %q covers %d boards, -fleet is %d", topo, t.Boards, boards)
+	}
+	return nil
 }
 
 func main() {
@@ -79,9 +102,11 @@ func main() {
 		benchGrd  = flag.String("benchguard", "", "committed scaling report JSON (BENCH_evloop.json): fail unless the event engine beats lockstep at the largest -fleetscale size and every measured point matches its committed point (regression gate)")
 	)
 	flag.Parse()
-	if err := checkFigure(*fig); err != nil {
-		fmt.Fprintln(os.Stderr, "yukta-bench:", err)
-		os.Exit(2)
+	for _, err := range []error{checkFigure(*fig), checkFleet(*fleetPol, *fleetTopo, *fleetN)} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "yukta-bench:", err)
+			os.Exit(2)
+		}
 	}
 
 	if *traceChk != "" {

@@ -48,3 +48,36 @@ func TestUnknownFigureRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetFlagsChecked checks that -fleetpolicy and -fleet-topo are
+// validated before the platform is built: the defaults and valid values
+// pass; an unknown policy, an unparsable topology, and a tree that does not
+// cover the -fleet boards fail, naming the flag.
+func TestFleetFlagsChecked(t *testing.T) {
+	for _, c := range []struct {
+		policy, topo string
+		boards       int
+	}{
+		{"all", "", 0}, {"equal", "", 2}, {"feedback", "4x4", 16}, {"all", "root=a,b;a=4;b=4", 8}, {"all", "4x4", 0},
+	} {
+		if err := checkFleet(c.policy, c.topo, c.boards); err != nil {
+			t.Errorf("checkFleet(%q, %q, %d) = %v, want nil", c.policy, c.topo, c.boards, err)
+		}
+	}
+	for _, c := range []struct {
+		policy, topo string
+		boards       int
+		flag         string
+	}{
+		{"bogus", "", 2, "-fleetpolicy"},
+		{"", "", 0, "-fleetpolicy"},
+		{"all", "4xq", 16, "-fleet-topo"},
+		{"equal", "root=", 4, "-fleet-topo"},
+		{"all", "4x4", 8, "-fleet-topo"},
+	} {
+		err := checkFleet(c.policy, c.topo, c.boards)
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag) {
+			t.Errorf("checkFleet(%q, %q, %d) = %v, want an error naming %s", c.policy, c.topo, c.boards, err, c.flag)
+		}
+	}
+}

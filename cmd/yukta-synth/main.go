@@ -59,14 +59,14 @@ func main() {
 	hp.InputWeight = *weight
 
 	fmt.Fprintln(os.Stderr, "synthesizing + validating the hardware SSV controller...")
-	hw, err := p.HWControllerValidated(hp)
+	hw, err := p.HWControllerBracket(hp)
 	if err != nil {
 		fatal(err)
 	}
 	report("hardware (Table II)", hw)
 
 	fmt.Fprintln(os.Stderr, "synthesizing + validating the software SSV controller...")
-	os_, err := p.OSControllerValidated(yukta.DefaultOSParams())
+	os_, err := p.OSControllerBracket(yukta.DefaultOSParams())
 	if err != nil {
 		fatal(err)
 	}

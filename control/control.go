@@ -61,14 +61,14 @@ func Identify(d *Dataset, ord Orders, ts float64) (*Model, error) {
 // Synthesize runs the SSV design loop of §II-C: propose candidates, evaluate
 // the closed loop's structured singular value against the declared
 // uncertainty, bounds and weights, and return the most aggressive certified
-// candidate. A certified design (SSV <= 1) also reports the μ lower bound
-// (Report.SSVLower).
+// candidate. A certified design (SSV <= 1) reports the full μ bracket: the
+// refined upper bound in Report.SSV and the lower bound in Report.SSVLower.
 func Synthesize(spec *Spec) (*Controller, error) {
-	ctl, err := robust.Synthesize(spec)
+	ctl, err := robust.Certify(spec)
 	if err != nil {
 		return nil, err
 	}
-	robust.FillSSVLower(spec, ctl)
+	robust.FillBracket(spec, ctl)
 	return ctl, nil
 }
 

@@ -30,7 +30,9 @@ func Example() {
 }
 
 // Example_designReport inspects a synthesized controller's robustness
-// certificate (the paper's min(s) and guaranteed deviation bounds).
+// certificate (the paper's min(s) and guaranteed deviation bounds). The
+// validated controller reports the bound it was certified on;
+// HWControllerBracket reports the refined bound and the μ lower bound.
 func Example_designReport() {
 	platform, err := yukta.NewDefaultPlatform()
 	if err != nil {

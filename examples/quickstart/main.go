@@ -25,12 +25,14 @@ func main() {
 	}
 
 	// 2. Inspect the synthesized hardware controller: the design report
-	//    carries the robustness certificate of §II-C.
+	//    carries the robustness certificate of §II-C, the μ upper bound the
+	//    design was accepted on (HWControllerBracket would also refine it
+	//    and add the lower bound, at the cost of a few seconds).
 	hw, err := platform.HWControllerValidated(yukta.DefaultHWParams())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("hardware SSV controller: N=%d states, SSV=%.2f (min(s)=%.2f)\n",
+	fmt.Printf("hardware SSV controller: N=%d states, certified SSV <= %.2f (min(s) >= %.2f)\n",
 		hw.Report.StateDim, hw.Report.SSV, hw.Report.MinS)
 
 	// 3. Run blackscholes under both schemes and compare E×D.

@@ -55,14 +55,15 @@ func designFingerprint(c *robust.Controller) string {
 }
 
 // TestValidatedDesignFingerprint pins the validated default HW and OS
-// controllers bit for bit.
+// controllers bit for bit, with the μ bracket their reports carried before
+// it moved off the design path (HWControllerBracket, OSControllerBracket).
 func TestValidatedDesignFingerprint(t *testing.T) {
 	p := testPlatform(t)
-	hw, err := p.HWControllerValidated(DefaultHWParams())
+	hw, err := p.HWControllerBracket(DefaultHWParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := p.OSControllerValidated(DefaultOSParams())
+	os, err := p.OSControllerBracket(DefaultOSParams())
 	if err != nil {
 		t.Fatal(err)
 	}

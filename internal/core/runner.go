@@ -7,6 +7,7 @@ import (
 	"yukta/internal/board"
 	"yukta/internal/fault"
 	"yukta/internal/obs"
+	"yukta/internal/robust"
 	"yukta/internal/series"
 	"yukta/internal/supervisor"
 	"yukta/internal/workload"
@@ -352,9 +353,11 @@ func (f *FixedTargetSession) Step(s board.Sensors, b *board.Board, threads int) 
 }
 
 // NewFixedHWSession builds an SSV hardware session that tracks the given
-// fixed targets [Perf, Power_big, Power_little, Temp].
+// fixed targets [Perf, Power_big, Power_little, Temp]. Its controller is
+// the one SynthesizeHWSSV designs, certified without refining the bound
+// (robust.Certify): the session reads only the guaranteed bounds.
 func (p *Platform) NewFixedHWSession(hp HWParams, targets []float64) (Session, error) {
-	ctl, err := p.SynthesizeHWSSV(hp)
+	ctl, err := robust.Certify(p.hwSpec(hp, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -362,9 +365,10 @@ func (p *Platform) NewFixedHWSession(hp HWParams, targets []float64) (Session, e
 }
 
 // NewFixedOSSession builds an SSV software session tracking fixed targets
-// [Perf_little, Perf_big, ΔSC].
+// [Perf_little, Perf_big, ΔSC], with the controller SynthesizeOSSSV
+// designs, certified as for NewFixedHWSession.
 func (p *Platform) NewFixedOSSession(op OSParams, targets []float64) (Session, error) {
-	ctl, err := p.SynthesizeOSSSV(op)
+	ctl, err := robust.Certify(p.osSpec(op, 0))
 	if err != nil {
 		return nil, err
 	}

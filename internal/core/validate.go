@@ -45,18 +45,21 @@ func (p *Platform) validationRun(sess Session, app string) (exd float64, emergen
 }
 
 // validatedSSV runs the full design flow for one layer's SSV controller:
-// for each rung of the penalty ladder it synthesizes spec(penalty), deploys
+// for each rung of the penalty ladder it certifies spec(penalty), deploys
 // the candidate in the session built by session on app (a training
-// application, never an evaluation one), and keeps the best-measured design among those within the
-// emergency budget (else the last one synthesized). Only the kept design
-// gets its SSV lower bound.
+// application, never an evaluation one), and keeps the best-measured design
+// among those within the emergency budget (else the last one synthesized).
+// It returns the kept controller and the specification it was certified
+// against. The controller carries the certified report of robust.Certify:
+// no step of the flow reads the refined SSV or the lower bound, so neither
+// is computed here (see designEntry.withBracket).
 func (p *Platform) validatedSSV(layer string, spec func(penalty float64) *robust.Spec,
-	session func(ctl *robust.Controller) (Session, error), app string) (*robust.Controller, error) {
+	session func(ctl *robust.Controller) (Session, error), app string) (*robust.Controller, *robust.Spec, error) {
 	var best, fallback *robust.Controller
 	var bestPen, fallbackPen float64
 	bestScore := math.Inf(1)
 	for _, pen := range validationPenalties {
-		ctl, err := robust.Synthesize(spec(pen))
+		ctl, err := robust.Certify(spec(pen))
 		if err != nil {
 			continue
 		}
@@ -75,18 +78,25 @@ func (p *Platform) validatedSSV(layer string, spec func(penalty float64) *robust
 	}
 	if best == nil {
 		if fallback == nil {
-			return nil, fmt.Errorf("core: %s SSV validated synthesis failed at every penalty", layer)
+			return nil, nil, fmt.Errorf("core: %s SSV validated synthesis failed at every penalty", layer)
 		}
 		best, bestPen = fallback, fallbackPen
 	}
-	robust.FillSSVLower(spec(bestPen), best)
-	return best, nil
+	return best, spec(bestPen), nil
 }
 
 // SynthesizeHWSSVValidated runs the full design flow for the hardware
 // controller. Each candidate runs with its E×D optimizer under the HMP-style
 // heuristic scheduler (the placement regime with the steepest plant gains).
+// The controller's report is the certified one (see robust.Report).
 func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, error) {
+	ctl, _, err := p.validatedHW(hp)
+	return ctl, err
+}
+
+// validatedHW is SynthesizeHWSSVValidated, also returning the kept design's
+// specification.
+func (p *Platform) validatedHW(hp HWParams) (*robust.Controller, *robust.Spec, error) {
 	return p.validatedSSV("HW", func(pen float64) *robust.Spec { return p.hwSpec(hp, pen) },
 		func(ctl *robust.Controller) (Session, error) {
 			hw, err := p.hwSSVLayer(ctl, nil)
@@ -99,8 +109,16 @@ func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, er
 
 // SynthesizeOSSSVValidated runs the full design flow for the software
 // controller. Each candidate runs in the full two-layer SSV stack with the
-// already-validated hardware controller hwCtl.
+// already-validated hardware controller hwCtl. The controller's report is
+// the certified one (see robust.Report).
 func (p *Platform) SynthesizeOSSSVValidated(op OSParams, hwCtl *robust.Controller) (*robust.Controller, error) {
+	ctl, _, err := p.validatedOS(op, hwCtl)
+	return ctl, err
+}
+
+// validatedOS is SynthesizeOSSSVValidated, also returning the kept design's
+// specification.
+func (p *Platform) validatedOS(op OSParams, hwCtl *robust.Controller) (*robust.Controller, *robust.Spec, error) {
 	return p.validatedSSV("OS", func(pen float64) *robust.Spec { return p.osSpec(op, pen) },
 		func(ctl *robust.Controller) (Session, error) {
 			hw, err := p.hwSSVLayer(hwCtl, nil)

@@ -17,10 +17,21 @@ import (
 //
 //	μ(M) ≤ min over diagonal D > 0 of σ_max(D M D^-1)
 //
-// The minimization starts from the Perron-based scaling (optimal for
-// nonnegative matrices) and is refined with cyclic coordinate descent on the
-// diagonal entries of D.
-func MuUpperBound(m *mat.CMatrix) float64 {
+// The minimization starts from MuStartBound's scaling and is refined with
+// cyclic coordinate descent on the diagonal entries of D, so the result is
+// never above MuStartBound(M).
+func MuUpperBound(m *mat.CMatrix) float64 { return muBound(m, true) }
+
+// MuStartBound returns the start point of MuUpperBound's descent: the
+// smaller of σ_max(D M D^-1) under the Perron scaling of |M| (optimal for
+// nonnegative matrices) and σ_max(M) itself. Any diagonal D > 0 gives a
+// valid upper bound on μ(M), so this is one too, at the cost of two σ_max
+// evaluations; it has the same bits as the value MuUpperBound starts from.
+func MuStartBound(m *mat.CMatrix) float64 { return muBound(m, false) }
+
+// muBound is MuUpperBound, stopping at the start point unless descend is
+// set.
+func muBound(m *mat.CMatrix, descend bool) float64 {
 	n := m.Rows()
 	if n != m.Cols() {
 		// μ is defined for the square interconnection matrix; callers must
@@ -69,6 +80,9 @@ func MuUpperBound(m *mat.CMatrix) float64 {
 			d[i] = 1
 		}
 		best = plain
+	}
+	if !descend {
+		return best
 	}
 	// Cyclic coordinate descent with multiplicative steps.
 	step := 1.5
@@ -126,10 +140,18 @@ func perronVector(a *mat.Matrix) []float64 {
 
 // SystemMu returns the peak of MuUpperBound over the unit circle for the
 // square transfer matrix of sys, evaluated on a frequency grid of nGrid
-// points (plus DC and Nyquist). It is the quantity the SSV synthesis loop
-// drives below 1.
+// points (plus DC and Nyquist): the refined upper bound the SSV synthesis
+// loop decides on when SystemMuStart does not already certify.
 func SystemMu(sys *lti.StateSpace, nGrid int) (float64, error) {
 	return gridPeak(sys, nGrid, MuUpperBound)
+}
+
+// SystemMuStart returns the peak of MuStartBound over the same frequency
+// grid as SystemMu. It is a valid upper bound on the system's μ, never below
+// SystemMu, and costs two σ_max evaluations per grid point instead of a
+// descent.
+func SystemMuStart(sys *lti.StateSpace, nGrid int) (float64, error) {
+	return gridPeak(sys, nGrid, MuStartBound)
 }
 
 // SystemMuLower returns the peak of MuLowerBound over the same frequency

@@ -363,8 +363,8 @@ func TestSystemMuGridDeterministic(t *testing.T) {
 	}
 }
 
-// TestFillSSVLowerMatchesSweep checks that FillSSVLower reports the lower
-// sweep Synthesize used to run on acceptance, and only for certified
+// TestFillSSVLowerMatchesSweep checks that the bracket fill reports the
+// lower sweep Synthesize used to run on acceptance, and only for certified
 // designs.
 func TestFillSSVLowerMatchesSweep(t *testing.T) {
 	spec := testSpec()
@@ -380,7 +380,7 @@ func TestFillSSVLowerMatchesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _, _ := refSystemMuBounds(cl, 24, true)
-	FillSSVLower(spec, ctl)
+	FillBracket(spec, ctl)
 	if math.Float64bits(ctl.Report.SSVLower) != math.Float64bits(want) {
 		t.Fatalf("SSVLower = %v, want the 24-point lower sweep %v", ctl.Report.SSVLower, want)
 	}
@@ -389,8 +389,8 @@ func TestFillSSVLowerMatchesSweep(t *testing.T) {
 	}
 	uncertified := *ctl
 	uncertified.Report.SSV, uncertified.Report.SSVLower = 1.5, 0
-	FillSSVLower(spec, &uncertified)
+	FillBracket(spec, &uncertified)
 	if uncertified.Report.SSVLower != 0 {
-		t.Fatalf("FillSSVLower filled an uncertified design: %v", uncertified.Report.SSVLower)
+		t.Fatalf("FillBracket filled an uncertified design: %v", uncertified.Report.SSVLower)
 	}
 }

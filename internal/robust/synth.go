@@ -56,19 +56,37 @@ type Spec struct {
 
 // Report summarizes the outcome of a synthesis run, mirroring what MATLAB's
 // routines report to the designer in the paper's flow.
+//
+// SSV, MinS, GuaranteedBounds and SSVLower hold different numbers on the
+// three paths that produce an SSV report:
+//
+//   - Eager (Synthesize, DesignAtPenalty): SSV is the refined D-scaling
+//     bound, the peak of SystemMu over the 48-point grid; SSVLower is 0.
+//   - Certified (Certify, and the platform's validated controllers): SSV is
+//     the bound the accept decision was made on, which is the start-point
+//     bound of SystemMuStart when that already certifies the design, and is
+//     never below the refined bound. SSVLower is 0.
+//   - Bracket (after FillBracket, as control.Synthesize and the platform's
+//     HWControllerBracket/OSControllerBracket return it): SSV is the
+//     refined bound, as on the eager path, and SSVLower is the lower end of
+//     the μ bracket.
+//
+// A design that no rung certifies (SSV > 1) reports its refined bound and
+// SSVLower 0 on every path. For a certified design GuaranteedBounds equals
+// the requested bounds on every path, since B·max(1, SSV) = B when SSV <= 1.
 type Report struct {
 	// SSV is the structured singular value upper bound of the final closed
-	// loop; robustness requires SSV <= 1 (min(s) = 1/SSV >= 1).
+	// loop (which bound, see above); robustness requires SSV <= 1
+	// (min(s) = 1/SSV >= 1).
 	SSV float64
 	// SSVLower is the power-iteration lower bound on the same quantity;
-	// together with SSV it brackets the true structured singular value.
-	// It is for reporting only (no design step reads it) and is filled by
-	// FillSSVLower, for certified designs (SSV <= 1) only: control.Synthesize
-	// and the platform's validated controllers fill it, while Synthesize
-	// itself and the platform's un-validated SynthesizeHWSSV and
-	// SynthesizeOSSSV leave it 0.
+	// together with the refined SSV it brackets the true structured
+	// singular value. It is for reporting only (no design step reads it),
+	// is filled only by FillBracket, and only for certified designs
+	// (SSV <= 1); every other report leaves it 0.
 	SSVLower float64
-	// MinS is 1/SSV, the paper's worst-case scaling factor min(s).
+	// MinS is 1/SSV, the paper's worst-case scaling factor min(s), for the
+	// same SSV.
 	MinS float64
 	// GuaranteedBounds are the output deviation bounds the controller can
 	// actually guarantee: the requested bounds inflated by max(1, SSV).
@@ -80,6 +98,18 @@ type Report struct {
 	ControlPenalty float64
 	// StateDim is the controller's state dimension N (paper §VI-D).
 	StateDim int
+}
+
+// setSSV records ssv as the report's structured singular value bound,
+// with min(s) and the bounds it guarantees: the requested bounds inflated
+// by max(1, SSV).
+func (r *Report) setSSV(ssv float64, bounds []float64) {
+	infl := math.Max(ssv, 1)
+	gb := make([]float64, len(bounds))
+	for i, b := range bounds {
+		gb[i] = b * infl
+	}
+	r.SSV, r.MinS, r.GuaranteedBounds = ssv, 1/ssv, gb
 }
 
 // Controller is a synthesized SSV controller realization
@@ -182,13 +212,37 @@ func (s *Spec) integralWeight() float64 {
 // the behaviour the paper describes when the designer's Δ/B/W are too
 // demanding.
 //
-// Synthesize leaves Report.SSVLower at 0: the lower-bound sweep costs about
-// as much as a candidate, and a caller that evaluates several ladders (the
-// platform's validation stage) pays it once, through FillSSVLower, for the
-// design it keeps.
+// Synthesize is Certify followed by the refinement of the kept design's
+// bound, so its report holds the refined SSV (the eager path of Report) and
+// leaves SSVLower at 0: the lower-bound sweep costs about as much as a
+// candidate, and a caller that wants the bracket pays it once, through
+// FillBracket, for the design it keeps.
 func Synthesize(spec *Spec) (*Controller, error) {
+	ctl, refined, err := ladder(spec)
+	if err == nil && !refined {
+		fillBracket(spec, ctl, false)
+	}
+	return ctl, err
+}
+
+// Certify runs the same penalty ladder as Synthesize, with the same
+// accept/reject decision at every rung, and returns the same controller
+// (K, ControlPenalty and Iterations), but stops at the certificate: each
+// candidate is scored by the start-point bound SystemMuStart, which costs
+// two σ_max evaluations per grid point, and only a candidate that bound
+// does not certify pays for the refined D-scaling descent, whose value then
+// decides. A kept certified design therefore reports the bound it was
+// accepted on (the certified path of Report); FillBracket refines it.
+func Certify(spec *Spec) (*Controller, error) {
+	ctl, _, err := ladder(spec)
+	return ctl, err
+}
+
+// ladder runs the penalty ladder of Certify and reports whether the kept
+// design's SSV is already the refined bound.
+func ladder(spec *Spec) (ctl *Controller, refined bool, err error) {
 	if err := spec.validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	tScales := spec.resolveTargetScales()
 
@@ -204,45 +258,62 @@ func Synthesize(spec *Spec) (*Controller, error) {
 	}
 	for step := 0; step < 12; step++ {
 		iters++
-		cand, err := ssvCandidate(spec, rho, tScales)
+		k, cl, err := ssvDesign(spec, rho, tScales)
 		if err != nil {
 			rho *= 2
 			continue
 		}
+		// The refined bound never exceeds the start bound, so a start bound
+		// <= 1 accepts exactly the candidates the refined one would; any
+		// other candidate is decided (and compared) on its refined value.
+		ssv, refined := ssvPeak(cl, SystemMuStart), false
+		if !(ssv <= 1) {
+			ssv, refined = ssvPeak(cl, SystemMu), true
+		}
+		cand := ssvCandidate(spec, k, rho, ssv)
 		cand.Report.Iterations = iters
-		if bestCtl == nil || cand.Report.SSV < bestCtl.Report.SSV {
+		if bestCtl == nil || ssv < bestCtl.Report.SSV {
 			bestCtl = cand
 		}
-		if cand.Report.SSV <= 1 {
-			return cand, nil
+		if ssv <= 1 {
+			return cand, refined, nil
 		}
 		rho *= 2
 	}
 	if bestCtl == nil {
-		return nil, fmt.Errorf("%w: no stabilizing candidate found", ErrSynthesis)
+		return nil, false, fmt.Errorf("%w: no stabilizing candidate found", ErrSynthesis)
 	}
+	// No rung certified, so every candidate, bestCtl too, was refined.
 	bestCtl.Report.Iterations = iters
-	return bestCtl, nil
+	return bestCtl, true, nil
 }
 
-// ssvCandidate designs the SSV candidate at control penalty rho and reports
-// its structured singular value and the bounds it guarantees: the requested
-// bounds inflated by max(1, SSV).
-func ssvCandidate(spec *Spec, rho float64, tScales []float64) (*Controller, error) {
-	k, err := designCandidate(spec, rho, spec.integralWeight(), true)
-	if err != nil {
-		return nil, err
+// ssvDesign designs the SSV candidate at control penalty rho and forms its
+// Δ-facing closed loop N.
+func ssvDesign(spec *Spec, rho float64, tScales []float64) (k, cl *lti.StateSpace, err error) {
+	if k, err = designCandidate(spec, rho, spec.integralWeight(), true); err != nil {
+		return nil, nil, err
 	}
-	ssv, err := evaluateSSV(spec, k, tScales)
-	if err != nil {
-		return nil, err
+	if cl, err = buildClosedLoop(spec, k, tScales); err != nil {
+		return nil, nil, err
 	}
-	infl := math.Max(ssv, 1)
-	gb := make([]float64, len(spec.OutputBounds))
-	for i, b := range spec.OutputBounds {
-		gb[i] = b * infl
+	return k, cl, nil
+}
+
+// ssvPeak returns the peak over the 48-point frequency grid of the μ upper
+// bound sweep computes, or 1e6 when the closed loop is unstable.
+func ssvPeak(cl *lti.StateSpace, sweep func(*lti.StateSpace, int) (float64, error)) float64 {
+	if !cl.IsStable() {
+		return 1e6
 	}
-	return &Controller{
+	ssv, _ := sweep(cl, 48) // a pole on the unit circle reads +Inf, not an error
+	return ssv
+}
+
+// ssvCandidate wraps the SSV candidate k designed at control penalty rho,
+// reporting ssv and the bounds it guarantees.
+func ssvCandidate(spec *Spec, k *lti.StateSpace, rho, ssv float64) *Controller {
+	ctl := &Controller{
 		K:         k,
 		NumOut:    spec.Plant.Outputs(),
 		NumExt:    spec.Plant.Inputs() - spec.NumControls,
@@ -251,30 +322,43 @@ func ssvCandidate(spec *Spec, rho float64, tScales []float64) (*Controller, erro
 		IntCount:  spec.Plant.Outputs(),
 		UFeedback: true,
 		Report: Report{
-			SSV:              ssv,
-			MinS:             1 / ssv,
-			GuaranteedBounds: gb,
-			Iterations:       1,
-			ControlPenalty:   rho,
-			StateDim:         k.Order(),
+			Iterations:     1,
+			ControlPenalty: rho,
+			StateDim:       k.Order(),
 		},
-	}, nil
+	}
+	ctl.Report.setSSV(ssv, spec.OutputBounds)
+	return ctl
 }
 
 // ssvLowerGrid is the frequency grid of the reported SSV lower bound.
 const ssvLowerGrid = 24
 
-// FillSSVLower sets ctl.Report.SSVLower to the power-iteration lower bound
-// on the structured singular value of ctl's closed loop under spec, when ctl
-// is certified (Report.SSV <= 1); otherwise, or when the closed loop cannot
-// be formed, it leaves the field unchanged. spec must be the specification
-// ctl was synthesized from.
-func FillSSVLower(spec *Spec, ctl *Controller) {
+// FillBracket fills the μ bracket of a certified design (Report.SSV <= 1):
+// it sets SSV, MinS and GuaranteedBounds from the refined bound (the same
+// bits Synthesize reports) and SSVLower to the power-iteration lower bound
+// over a 24-point grid, moving the report to the bracket path of Report.
+// For an uncertified design, whose SSV is already the refined bound, or
+// when the closed loop cannot be formed, it leaves the report unchanged.
+// spec must be the specification ctl was synthesized from. FillBracket
+// writes ctl.Report (with a fresh GuaranteedBounds slice); callers that
+// share ctl fill a copy.
+func FillBracket(spec *Spec, ctl *Controller) {
+	fillBracket(spec, ctl, true)
+}
+
+// fillBracket is FillBracket, with the lower-bound sweep only when lower
+// is set.
+func fillBracket(spec *Spec, ctl *Controller, lower bool) {
 	if !(ctl.Report.SSV <= 1) { // also skips the NaN SSV of LQG designs
 		return
 	}
 	cl, err := buildClosedLoop(spec, ctl.K, spec.resolveTargetScales())
 	if err != nil {
+		return
+	}
+	ctl.Report.setSSV(ssvPeak(cl, SystemMu), spec.OutputBounds)
+	if !lower {
 		return
 	}
 	if lo, err := SystemMuLower(cl, ssvLowerGrid); err == nil {
@@ -283,7 +367,8 @@ func FillSSVLower(spec *Spec, ctl *Controller) {
 }
 
 // DesignAtPenalty synthesizes a single SSV candidate at the given control
-// penalty and reports its structured singular value without iterating. The
+// penalty and reports its refined structured singular value (the eager path
+// of Report) without iterating. The
 // sensitivity studies use it to answer the designer's question in Fig. 16(a):
 // keeping the same controller aggressiveness (input weights W) and requested
 // bounds B, what deviation bounds can actually be guaranteed as the
@@ -293,7 +378,11 @@ func DesignAtPenalty(spec *Spec, rho float64) (*Controller, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	return ssvCandidate(spec, rho, spec.resolveTargetScales())
+	k, cl, err := ssvDesign(spec, rho, spec.resolveTargetScales())
+	if err != nil {
+		return nil, err
+	}
+	return ssvCandidate(spec, k, rho, ssvPeak(cl, SystemMu)), nil
 }
 
 // SynthesizeLQG builds the paper's §VI-B baseline: a plain MIMO LQG servo
@@ -473,19 +562,6 @@ const (
 	uncFloor  = 0.5  // fraction of the guardband applied at all frequencies
 	effortCap = 0.3  // scaling of the input-weight channel
 )
-
-// evaluateSSV forms the Δ-facing closed loop N of the candidate controller
-// and returns the peak structured-singular-value upper bound over frequency.
-func evaluateSSV(spec *Spec, k *lti.StateSpace, tScales []float64) (float64, error) {
-	cl, err := buildClosedLoop(spec, k, tScales)
-	if err != nil {
-		return 0, err
-	}
-	if !cl.IsStable() {
-		return 1e6, nil
-	}
-	return SystemMu(cl, 48)
-}
 
 // buildClosedLoop assembles the Δ-N interconnection of the paper's Figure 2:
 // the generalized plant carries the output uncertainty block (guardband,

@@ -71,12 +71,12 @@ func TestSynthesizedClosedLoopStable(t *testing.T) {
 	}
 	// Close the loop against the nominal plant (Δy feedback only, e = 0) and
 	// check internal stability via the LFT used for analysis.
-	ssv, err := evaluateSSV(spec, ctl.K, spec.resolveTargetScales())
+	cl, err := buildClosedLoop(spec, ctl.K, spec.resolveTargetScales())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ssv >= 1e6 {
-		t.Fatal("closed loop flagged unstable by evaluateSSV")
+	if ssv := ssvPeak(cl, SystemMu); ssv >= 1e6 {
+		t.Fatal("closed loop flagged unstable by ssvPeak")
 	}
 }
 
