@@ -1,9 +1,6 @@
 package core
 
 import (
-	"math"
-
-	"yukta/internal/obs"
 	"yukta/internal/pool"
 	"yukta/internal/sched"
 )
@@ -33,7 +30,7 @@ const (
 // nothing and falls out of the clock entirely.
 //
 // Byte-identity with runLockstep (FleetRunLockstep) holds because nothing
-// observable moves: stepBoard is the shared interval body (fault RNG,
+// observable moves: boardRun.step is the shared interval body (fault RNG,
 // physics, controller, per-board trace), realloc is the shared
 // coordinator body and fires at the same instants with boards in the same
 // states, and the fleet trace is reconstructed per interval from samples
@@ -174,59 +171,19 @@ func (f *fleetRun) flushEpoch(t, epochSteps int, reallocFired bool) {
 		// flush sees the same values every interval of the epoch saw.
 		for i := range f.tree.Nodes {
 			nd := &f.tree.Nodes[i]
-			f.opt.Trace.Add(f.epochRecord(t, j, nd.First, nd.Boards, nd.BudgetW, nd.Path,
-				j == 0 && reallocFired && f.tree.NodeRealloc(i, t)))
+			rec := f.nodeRecord(i, t+j, j == 0 && reallocFired)
+			for b := nd.First; b < nd.First+nd.Boards; b++ {
+				fb := f.boards[b]
+				liveAt := 0
+				if fb.wokeEpoch == t {
+					liveAt = fb.batchLen
+					if fb.done {
+						liveAt--
+					}
+				}
+				addBoard(&rec, f.caps[b], j >= liveAt, fb.samples[j], f.cfg.BasePowerW)
+			}
+			f.opt.Trace.Add(rec)
 		}
 	}
-}
-
-// epochRecord reconstructs one node-range record for interval t+j of the
-// epoch that started at t, from the boards' latched samples.
-func (f *fleetRun) epochRecord(t, j, first, count int, budgetW float64,
-	node string, realloc bool) obs.FleetRecord {
-
-	rec := obs.FleetRecord{
-		Step:    t + j,
-		TimeS:   float64(t+j+1) * f.intervalS,
-		BudgetW: budgetW,
-		Realloc: realloc,
-		Node:    node,
-	}
-	for i := first; i < first+count; i++ {
-		fb := f.boards[i]
-		rec.AllocW += f.caps[i]
-		liveAt := 0
-		if fb.wokeEpoch == t {
-			liveAt = fb.batchLen
-			if fb.done {
-				liveAt--
-			}
-		}
-		if j >= liveAt {
-			rec.Done++
-			continue
-		}
-		rec.Live++
-		if f.caps[i] > 0 {
-			if rec.CapMinW == 0 || f.caps[i] < rec.CapMinW {
-				rec.CapMinW = f.caps[i]
-			}
-			if f.caps[i] > rec.CapMaxW {
-				rec.CapMaxW = f.caps[i]
-			}
-		}
-		s := fb.samples[j]
-		if s.budgetThrottled {
-			rec.Throttled++
-		}
-		p := s.bigW + s.littleW + f.cfg.BasePowerW
-		if !math.IsNaN(p) && !math.IsInf(p, 0) {
-			rec.PowerW += p
-		}
-		b := s.bips
-		if !math.IsNaN(b) && !math.IsInf(b, 0) {
-			rec.BIPS += b
-		}
-	}
-	return rec
 }

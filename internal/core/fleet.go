@@ -76,7 +76,8 @@ type FleetOptions struct {
 	// solo run's RunOptions.Trace would.
 	BoardTraces []*obs.Recorder
 	// Metrics, when non-nil, aggregates the run into the registry (pool
-	// occupancy, per-scheme step latency, run/fault counters).
+	// occupancy, per-scheme step latency, the fleet_* run, board-run and
+	// reallocation counters, and every board's faults_* counters).
 	Metrics *obs.Registry
 }
 
@@ -136,29 +137,17 @@ type FleetResult struct {
 	NodeReallocations int
 }
 
-// fleetBoard is the per-board runtime state of a fleet run. Workers touch
-// only their own board during an interval (or an event batch), so the
-// struct needs no locking.
+// fleetBoard is one member's runtime state in a fleet run: its board run
+// plus the coordinator's view of it. Workers touch only their own board
+// during an interval (or an event batch), so the struct needs no locking.
 type fleetBoard struct {
+	boardRun
 	idx  int
-	b    *board.Board
-	sess Session
-	w    workload.Workload
-	inj  *fault.Injector
-
-	sens board.Sensors
 	done bool
 	// capZeroed records that the coordinator has already actuated the
 	// board's post-completion zero cap, so later reallocations skip the
 	// write instead of rewriting every finished board every period.
 	capZeroed bool
-
-	// Per-board observation state (mirrors the solo runner's).
-	hp         healthProbe
-	fp         flightProber
-	prevFaults fault.Stats
-	lat        *obs.Histogram
-	trace      *obs.Recorder
 
 	// Batch state: the epoch the board last woke in, how many intervals it
 	// executed before finishing or hitting the barrier, and — when a fleet
@@ -172,12 +161,22 @@ type fleetBoard struct {
 	samples    []fleetSample
 }
 
-// fleetSample is one live board-interval's contribution to the fleet trace,
-// latched during a batch.
+// fleetSample is one live board-interval's contribution to the fleet trace.
 type fleetSample struct {
 	bigW, littleW   float64
 	bips            float64
 	budgetThrottled bool
+}
+
+// sample reads the board's contribution to the fleet trace for the
+// interval it last executed.
+func (fb *fleetBoard) sample() fleetSample {
+	return fleetSample{
+		bigW:            fb.sensors.BigPowerW,
+		littleW:         fb.sensors.LittlePowerW,
+		bips:            fb.sensors.BIPS,
+		budgetThrottled: fb.b.BudgetThrottled(),
+	}
 }
 
 // FleetRun simulates len(members) boards under the shared power budget on
@@ -280,36 +279,18 @@ func newFleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*fl
 	}
 	f.live.Store(int64(n))
 	for i, m := range members {
-		sess, err := m.Scheme.New()
+		// Boards key their fault streams by (leaf path, leaf-local index),
+		// collision-free across racks; see newBoardRun for the solo pairing.
+		path, local := tree.BoardCoord(i)
+		var trace *obs.Recorder
+		if opt.BoardTraces != nil {
+			trace = opt.BoardTraces[i]
+		}
+		r, err := newBoardRun(cfg, m.Scheme, m.Workload, opt.Faults, path, local, opt.Interval, trace, opt.Metrics)
 		if err != nil {
-			return nil, fmt.Errorf("core: building scheme %q for board %d: %w", m.Scheme.Name, i, err)
+			return nil, fmt.Errorf("core: board %d: %w", i, err)
 		}
-		fb := &fleetBoard{idx: i, sess: sess, w: m.Workload}
-		if opt.Faults.Enabled() {
-			// Boards key their fault streams by (leaf path, leaf-local
-			// index): collision-free across racks, and reducing to the
-			// fault.RunKey(scheme, app, i) key in a one-level tree, so board
-			// 0 pairs with the solo run of the same (scheme, app).
-			path, local := tree.BoardCoord(i)
-			runKey := fault.RunKeyPath(m.Scheme.faultKey(), m.Workload.Name(), path, local)
-			fb.inj = opt.Faults.NewInjector(runKey)
-			fb.w = opt.Faults.Disturb(fb.w, runKey)
-		}
-		fb.w.Reset()
-		fb.b = board.New(cfg)
-		if fb.inj != nil {
-			fb.b.AttachSensorTap(fb.inj)
-			fb.b.AttachActuatorTap(fb.inj)
-		}
-		if opt.BoardTraces != nil && opt.BoardTraces[i] != nil {
-			fb.trace = opt.BoardTraces[i]
-			fb.hp, _ = sess.(healthProbe)
-			fb.fp, _ = sess.(flightProber)
-		}
-		if opt.Metrics != nil {
-			fb.lat = opt.Metrics.Histogram("step_latency_us/"+m.Scheme.Name, obs.LatencyBucketsUS())
-		}
-		f.boards[i] = fb
+		f.boards[i] = &fleetBoard{boardRun: r, idx: i}
 	}
 	return f, nil
 }
@@ -386,16 +367,32 @@ func (f *fleetRun) realloc() {
 	f.res.NodeReallocations += len(f.due)
 }
 
-// traceStep writes the interval's fleet-trace records: one per tree node
-// in preorder, the root first. The root record spans all boards with the
-// full budget and an empty node path.
+// traceStep writes the interval's fleet-trace records from the boards' live
+// state: one per tree node in preorder, the root first. The root record
+// spans all boards with the full budget and an empty node path.
 func (f *fleetRun) traceStep(step int, realloc bool) {
-	timeS := float64(step+1) * f.intervalS
 	for i := range f.tree.Nodes {
 		nd := &f.tree.Nodes[i]
-		f.opt.Trace.Add(fleetRecordRange(step, timeS, nd.BudgetW,
-			f.caps, f.boards, nd.First, nd.Boards,
-			realloc && f.tree.NodeRealloc(i, step), f.cfg.BasePowerW, nd.Path))
+		rec := f.nodeRecord(i, step, realloc)
+		for b := nd.First; b < nd.First+nd.Boards; b++ {
+			fb := f.boards[b]
+			addBoard(&rec, f.caps[b], fb.done, fb.sample(), f.cfg.BasePowerW)
+		}
+		f.opt.Trace.Add(rec)
+	}
+}
+
+// nodeRecord starts tree node i's fleet-trace record for interval step;
+// realloc says a reallocation fired at step, and the record carries it if
+// this node was among the due ones.
+func (f *fleetRun) nodeRecord(i, step int, realloc bool) obs.FleetRecord {
+	nd := &f.tree.Nodes[i]
+	return obs.FleetRecord{
+		Step:    step,
+		TimeS:   float64(step+1) * f.intervalS,
+		BudgetW: nd.BudgetW,
+		Realloc: realloc && f.tree.NodeRealloc(i, step),
+		Node:    nd.Path,
 	}
 }
 
@@ -416,44 +413,17 @@ func (f *fleetRun) actuate() {
 	}
 }
 
-// stepBoard executes one control interval on one board: advance the fault
-// injector, run the physics, invoke the board's scheme, feed the
-// observation taps, and latch the fleet-trace sample when a batch is
-// buffering an epoch. It is the single definition of "one board interval"
-// for both schedules, so the fault RNG streams and every recorded value are
-// consumed identically.
+// stepBoard executes interval step on one board for either schedule: the
+// shared interval body, then the board's completion and — when a batch is
+// buffering an epoch for the fleet trace — its latched sample.
 func (f *fleetRun) stepBoard(fb *fleetBoard, step int) {
-	if fb.inj != nil {
-		fb.inj.Advance(fb.b)
-	}
-	fb.sens = fb.b.Run(fb.w, f.opt.Interval)
-	var t0 time.Time
-	observe := fb.lat != nil || fb.trace != nil
-	if observe {
-		t0 = time.Now()
-	}
-	fb.sess.Step(fb.sens, fb.b, fb.w.Profile().Threads)
-	if observe {
-		latNS := time.Since(t0).Nanoseconds()
-		if fb.lat != nil {
-			fb.lat.Observe(float64(latNS) / 1e3)
-		}
-		if fb.trace != nil {
-			recordInterval(fb.trace, step, fb.sens, fb.b,
-				fb.inj, &fb.prevFaults, fb.hp, fb.fp, latNS)
-		}
-	}
+	fb.step(step)
 	if fb.w.Done() {
 		fb.done = true
 		f.live.Add(-1)
 	}
 	if fb.samples != nil {
-		fb.samples[step-fb.epochStart] = fleetSample{
-			bigW:            fb.sens.BigPowerW,
-			littleW:         fb.sens.LittlePowerW,
-			bips:            fb.sens.BIPS,
-			budgetThrottled: fb.b.BudgetThrottled(),
-		}
+		fb.samples[step-fb.epochStart] = fb.sample()
 	}
 }
 
@@ -473,6 +443,9 @@ func (f *fleetRun) finalize(members []FleetMember) *FleetResult {
 		r.BudgetEvents = fb.b.BudgetEvents()
 		if fb.inj != nil {
 			r.Faults = fb.inj.Stats()
+		}
+		if f.opt.Metrics != nil {
+			countFaults(f.opt.Metrics, r.Faults)
 		}
 		res.EnergyJ += r.EnergyJ
 		if r.TimeS > res.MakespanS {
@@ -496,11 +469,11 @@ func (f *fleetRun) finalize(members []FleetMember) *FleetResult {
 // draw — the conservative choice that never trims a board on garbage data —
 // so policies may assume finite telemetry.
 func fleetTelemetry(fb *fleetBoard, capW, baseW float64) fleet.Telemetry {
-	power := fb.sens.BigPowerW + fb.sens.LittlePowerW + baseW
+	power := fb.sensors.BigPowerW + fb.sensors.LittlePowerW + baseW
 	if math.IsNaN(power) || math.IsInf(power, 0) {
 		power = capW
 	}
-	bips := fb.sens.BIPS
+	bips := fb.sensors.BIPS
 	if math.IsNaN(bips) || math.IsInf(bips, 0) {
 		bips = 0
 	}
@@ -513,47 +486,31 @@ func fleetTelemetry(fb *fleetBoard, capW, baseW float64) fleet.Telemetry {
 	}
 }
 
-// fleetRecordRange aggregates one interval over one node's board range
-// [first, first+count) into a fleet trace record — the whole fleet for the
-// root record (node ""), a subtree for any other node.
-func fleetRecordRange(step int, timeS float64, budgetW float64, caps []float64,
-	boards []*fleetBoard, first, count int, realloc bool, baseW float64,
-	node string) obs.FleetRecord {
-
-	rec := obs.FleetRecord{
-		Step:    step,
-		TimeS:   timeS,
-		BudgetW: budgetW,
-		Realloc: realloc,
-		Node:    node,
+// addBoard folds one board's interval into a node-range fleet trace
+// record: its cap share always, and — while it is live — its cap into the
+// min/max, its throttle bit and its finite power and BIPS readings.
+func addBoard(rec *obs.FleetRecord, capW float64, done bool, s fleetSample, baseW float64) {
+	rec.AllocW += capW
+	if done {
+		rec.Done++
+		return
 	}
-	for i := first; i < first+count; i++ {
-		fb := boards[i]
-		rec.AllocW += caps[i]
-		if fb.done {
-			rec.Done++
-			continue
+	rec.Live++
+	if capW > 0 {
+		if rec.CapMinW == 0 || capW < rec.CapMinW {
+			rec.CapMinW = capW
 		}
-		rec.Live++
-		if caps[i] > 0 {
-			if rec.CapMinW == 0 || caps[i] < rec.CapMinW {
-				rec.CapMinW = caps[i]
-			}
-			if caps[i] > rec.CapMaxW {
-				rec.CapMaxW = caps[i]
-			}
-		}
-		if fb.b.BudgetThrottled() {
-			rec.Throttled++
-		}
-		p := fb.sens.BigPowerW + fb.sens.LittlePowerW + baseW
-		if !math.IsNaN(p) && !math.IsInf(p, 0) {
-			rec.PowerW += p
-		}
-		b := fb.sens.BIPS
-		if !math.IsNaN(b) && !math.IsInf(b, 0) {
-			rec.BIPS += b
+		if capW > rec.CapMaxW {
+			rec.CapMaxW = capW
 		}
 	}
-	return rec
+	if s.budgetThrottled {
+		rec.Throttled++
+	}
+	if p := s.bigW + s.littleW + baseW; !math.IsNaN(p) && !math.IsInf(p, 0) {
+		rec.PowerW += p
+	}
+	if b := s.bips; !math.IsNaN(b) && !math.IsInf(b, 0) {
+		rec.BIPS += b
+	}
 }

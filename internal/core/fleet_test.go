@@ -150,16 +150,98 @@ func TestFleetTraceParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFleetBoardZeroPairsWithSolo asserts the common-random-numbers pairing:
-// board 0 of a fleet derives the identical fault stream as the solo run of
-// the same (scheme, app), because RunKey with board index 0 is byte-for-byte
-// the historical two-argument key.
+// TestFleetBoardZeroPairsWithSolo asserts the common-random-numbers pairing
+// through the real drivers: for every scheme × fault class, board 0 of a
+// one-board FleetRun whose budget never binds executes the solo Run of the
+// same (scheme, app) interval for interval — same fault stream, same
+// physics, same controller moves. Only the cap the fleet actuates and the
+// wall-clock step latency may differ between the two traces.
 func TestFleetBoardZeroPairsWithSolo(t *testing.T) {
 	if got, want := fault.RunKey("s", "a", 0), fault.RunKey("s", "a"); got != want {
 		t.Fatalf("RunKey with board 0 = %q, want %q", got, want)
 	}
 	if fault.RunKey("s", "a", 1) == fault.RunKey("s", "a") {
 		t.Fatal("board 1 must not alias the solo key")
+	}
+	p := testPlatform(t)
+	const maxTime = 30 * time.Second
+	// pairedTrace renders a trace with the fields the fleet may legitimately
+	// change zeroed.
+	pairedTrace := func(rec *obs.Recorder) []byte {
+		var buf []byte
+		for i := 0; i < rec.Len(); i++ {
+			r := rec.At(i)
+			r.PowerCapW, r.LatencyNS = 0, 0
+			buf = obs.AppendRecordJSON(buf, &r)
+		}
+		return buf
+	}
+	for _, sch := range equivSchemes(p) {
+		for _, class := range equivClasses() {
+			var faults fault.Plan
+			if class != "clean" {
+				faults = fault.PresetClass(7, 1.0, class)
+			}
+			name := sch.Name + "/" + class
+			soloRec := obs.NewRecorder(0)
+			solo, err := Run(p.Cfg, sch, fleetTestMembers(t, p, 1, sch)[0].Workload, RunOptions{
+				MaxTime: maxTime, SkipSeries: true, Faults: faults, Trace: soloRec,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			boardRec := obs.NewRecorder(0)
+			fl, err := FleetRun(p.Cfg, fleetTestMembers(t, p, 1, sch), FleetOptions{
+				Budget:      fleet.Budget{TotalW: 1000, MinW: 1, MaxW: 1000},
+				TreePolicy:  feedbackPolicy,
+				MaxTime:     maxTime,
+				Faults:      faults,
+				BoardTraces: []*obs.Recorder{boardRec},
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if soloRec.Len() == 0 || !bytes.Equal(pairedTrace(soloRec), pairedTrace(boardRec)) {
+				t.Fatalf("%s: board 0's trace (%d records) differs from the solo run's (%d records)",
+					name, boardRec.Len(), soloRec.Len())
+			}
+			b := fl.Boards[0]
+			if b.TimeS != solo.TimeS || b.EnergyJ != solo.EnergyJ || b.Faults != solo.Faults {
+				t.Fatalf("%s: board 0 time/energy/faults %v/%v/%+v, solo %v/%v/%+v",
+					name, b.TimeS, b.EnergyJ, b.Faults, solo.TimeS, solo.EnergyJ, solo.Faults)
+			}
+			if b.BudgetEvents != 0 {
+				t.Fatalf("%s: a 1000 W budget engaged the governor %d times", name, b.BudgetEvents)
+			}
+		}
+	}
+}
+
+// TestFleetCountsFaults checks that a faulted fleet run folds every board's
+// injected faults into the registry's fault counters.
+func TestFleetCountsFaults(t *testing.T) {
+	p := testPlatform(t)
+	opt := fleetTestOptions(equalShare)
+	opt.Faults = fault.Preset(5, 1.0)
+	opt.Metrics = obs.NewRegistry()
+	res, err := FleetRun(p.Cfg, fleetTestMembers(t, p, 4, p.CoordinatedHeuristic()), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, dropped int64
+	for _, b := range res.Boards {
+		f := b.Faults
+		want += int64(f.DroppedReadings + f.StaleReadings + f.HeldCommands + f.SkewedCommands + f.ForcedThrottles)
+		dropped += int64(f.DroppedReadings)
+	}
+	if want == 0 {
+		t.Fatal("the fault plan injected nothing")
+	}
+	if got := opt.Metrics.Counter("faults_injected_total").Value(); got != want {
+		t.Fatalf("faults_injected_total = %d, want the boards' sum %d", got, want)
+	}
+	if got := opt.Metrics.Counter("faults_dropped_total").Value(); got != dropped {
+		t.Fatalf("faults_dropped_total = %d, want the boards' sum %d", got, dropped)
 	}
 }
 

@@ -101,157 +101,99 @@ func Run(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*Ru
 	return s.Result(), nil
 }
 
-// soloRun is the per-run state of a single board: the workload, the board,
-// the controller session, the fault injector and the observation taps that
-// soloRun.step advances one control interval at a time.
-type soloRun struct {
+// boardRun is one board's run state: the workload, the board, the
+// controller session, the fault injector, the latest sensor readings and
+// the observation taps. A solo run (StepRun) holds one; a fleet holds one
+// per member (fleetBoard embeds it). newBoardRun is the only place a board
+// run is set up, and step the only definition of one control interval, so
+// every driver consumes the fault RNG streams and records every value
+// identically.
+type boardRun struct {
 	w        workload.Workload
 	b        *board.Board
 	sess     Session
 	inj      *fault.Injector
-	opt      *RunOptions
-	res      *RunResult
-	observe  bool
-	lat      *obs.Histogram
-	hp       healthProbe
-	fp       flightProber
-	maxSteps int
+	interval time.Duration
+	sensors  board.Sensors
 
+	// Observation taps. Everything is nil-guarded so an unobserved run takes
+	// no time.Now calls and no extra allocations in the control loop.
+	lat        *obs.Histogram
+	trace      *obs.Recorder
+	hp         healthProbe
+	fp         flightProber
 	prevFaults fault.Stats
-	sensors    board.Sensors
-
-	// counted latches countOnce so a run folds into the metrics registry at
-	// most once, however many times its result is finalized.
-	counted bool
 }
 
-// step executes control interval i: advance the fault injector, run the
-// board physics, invoke the controller stack, and feed the observation
-// taps. It is the single definition of "one control interval" of a solo
-// run.
-func (r *soloRun) step(i int) {
-	if r.inj != nil {
-		r.inj.Advance(r.b)
-	}
-	r.sensors = r.b.Run(r.w, r.opt.Interval)
-	var t0 time.Time
-	if r.observe {
-		t0 = time.Now()
-	}
-	r.sess.Step(r.sensors, r.b, r.w.Profile().Threads)
-	if r.observe {
-		latNS := time.Since(t0).Nanoseconds()
-		if r.lat != nil {
-			r.lat.Observe(float64(latNS) / 1e3)
-		}
-		if r.opt.Trace != nil {
-			recordInterval(r.opt.Trace, i, r.sensors, r.b, r.inj, &r.prevFaults, r.hp, r.fp, latNS)
-		}
-	}
-	if !r.opt.SkipSeries {
-		r.res.BigPower.Add(r.sensors.TimeS, r.sensors.BigPowerW)
-		r.res.LittlePower.Add(r.sensors.TimeS, r.sensors.LittlePowerW)
-		r.res.Perf.Add(r.sensors.TimeS, r.sensors.BIPS)
-		r.res.Temp.Add(r.sensors.TimeS, r.sensors.TempC)
-		r.res.BigFreq.Add(r.sensors.TimeS, r.b.EffectiveBigFreq())
-	}
-}
+// newBoardRun instantiates the scheme, derives the board's fault stream,
+// disturbs and resets the workload, builds the board with its fault taps
+// and picks up the observation taps. The fault key is
+// fault.RunKeyPath(scheme, app, path, local): a fleet board passes its
+// leaf path and leaf-local index, and a solo run passes "" and 0 — the
+// key of board 0 of a one-level fleet, so the two pair under common
+// random numbers. trace and metrics may be nil.
+func newBoardRun(cfg board.Config, sch Scheme, w workload.Workload, faults fault.Plan,
+	path string, local int, interval time.Duration, trace *obs.Recorder, metrics *obs.Registry) (boardRun, error) {
 
-// newSoloRun performs the run setup — scheme instantiation, fault stream
-// derivation, board construction, observation taps — behind NewStepRun,
-// which both Run and the serve layer's hosted sessions use.
-func newSoloRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*soloRun, error) {
-	if opt.MaxTime <= 0 {
-		opt.MaxTime = DefaultMaxTime
-	}
-	if opt.Interval <= 0 {
-		opt.Interval = DefaultInterval
-	}
 	sess, err := sch.New()
 	if err != nil {
-		return nil, fmt.Errorf("core: building scheme %q: %w", sch.Name, err)
+		return boardRun{}, fmt.Errorf("core: building scheme %q: %w", sch.Name, err)
 	}
-	var inj *fault.Injector
-	if opt.Faults.Enabled() {
-		runKey := fault.RunKey(sch.faultKey(), w.Name())
-		inj = opt.Faults.NewInjector(runKey)
-		w = opt.Faults.Disturb(w, runKey)
+	r := boardRun{sess: sess, interval: interval, trace: trace}
+	if faults.Enabled() {
+		runKey := fault.RunKeyPath(sch.faultKey(), w.Name(), path, local)
+		r.inj = faults.NewInjector(runKey)
+		w = faults.Disturb(w, runKey)
 	}
 	w.Reset()
-	b := board.New(cfg)
-	if inj != nil {
-		b.AttachSensorTap(inj)
-		b.AttachActuatorTap(inj)
+	r.w = w
+	r.b = board.New(cfg)
+	if r.inj != nil {
+		r.b.AttachSensorTap(r.inj)
+		r.b.AttachActuatorTap(r.inj)
 	}
-
-	res := &RunResult{App: w.Name(), Scheme: sch.Name}
-	if !opt.SkipSeries {
-		res.BigPower = series.New("big_power_w")
-		res.LittlePower = series.New("little_power_w")
-		res.Perf = series.New("bips")
-		res.Temp = series.New("temp_c")
-		res.BigFreq = series.New("big_freq_ghz")
+	if metrics != nil {
+		r.lat = metrics.Histogram("step_latency_us/"+sch.Name, obs.LatencyBucketsUS())
 	}
-	// Observation taps. Everything below is nil-guarded so a run without
-	// Trace/Metrics takes no time.Now calls and no extra allocations in the
-	// control loop.
-	observe := opt.Trace != nil || opt.Metrics != nil
-	var lat *obs.Histogram
-	if opt.Metrics != nil {
-		lat = opt.Metrics.Histogram("step_latency_us/"+sch.Name, obs.LatencyBucketsUS())
-	}
-	var hp healthProbe
-	var fp flightProber
-	if opt.Trace != nil {
-		hp, _ = sess.(healthProbe)
-		fp, _ = sess.(flightProber)
-	}
-	r := &soloRun{
-		w: w, b: b, sess: sess, inj: inj, opt: &opt, res: res,
-		observe: observe, lat: lat, hp: hp, fp: fp,
-		maxSteps: int(opt.MaxTime / opt.Interval),
+	if trace != nil {
+		r.hp, _ = sess.(healthProbe)
+		r.fp, _ = sess.(flightProber)
 	}
 	return r, nil
 }
 
-// finalize distills the run's current state into its RunResult. It is the
-// epilogue of StepRun.Result and is safe to call mid-run (the serve layer
-// reports live results); folding into the metrics registry is countOnce's
-// job, so repeated finalize calls never double-count.
-func (r *soloRun) finalize() *RunResult {
-	res, b, w := r.res, r.b, r.w
-	res.Completed = w.Done()
-	res.TimeS = b.TimeS()
-	res.EnergyJ = b.EnergyJ()
-	res.ExD = res.EnergyJ * res.TimeS
-	res.EmergencyEvents = r.sensors.EmergencyEvents
-	res.IntervalS = r.opt.Interval.Seconds()
+// step executes control interval i: advance the fault injector, run the
+// board physics, invoke the controller stack, and feed the observation
+// taps.
+func (r *boardRun) step(i int) {
 	if r.inj != nil {
-		res.Faults = r.inj.Stats()
+		r.inj.Advance(r.b)
 	}
-	if sr, ok := r.sess.(SupervisorReporter); ok {
-		st := sr.SupervisorStats()
-		res.Supervisor = &st
+	r.sensors = r.b.Run(r.w, r.interval)
+	observe := r.lat != nil || r.trace != nil
+	var t0 time.Time
+	if observe {
+		t0 = time.Now()
 	}
-	return res
+	r.sess.Step(r.sensors, r.b, r.w.Profile().Threads)
+	if observe {
+		latNS := time.Since(t0).Nanoseconds()
+		if r.lat != nil {
+			r.lat.Observe(float64(latNS) / 1e3)
+		}
+		if r.trace != nil {
+			r.recordInterval(i, latNS)
+		}
+	}
 }
 
-// countOnce folds the finished run into the metrics registry, at most once.
-func (r *soloRun) countOnce() {
-	if r.opt.Metrics != nil && !r.counted {
-		r.counted = true
-		countRun(r.opt.Metrics, r.res)
-	}
-}
-
-// recordInterval distills one control interval into an obs.Record and
-// appends it to the recorder. prevFaults latches the injector's cumulative
+// recordInterval distills control interval step into an obs.Record and
+// appends it to the trace. prevFaults latches the injector's cumulative
 // stats so the record carries per-interval deltas (their sums over a run
 // reproduce fault.Stats exactly).
-func recordInterval(tr *obs.Recorder, step int, s board.Sensors, b *board.Board,
-	inj *fault.Injector, prevFaults *fault.Stats, hp healthProbe, fp flightProber, latNS int64) {
-
-	act := b.ActuatorState()
+func (r *boardRun) recordInterval(step int, latNS int64) {
+	s := &r.sensors
+	act := r.b.ActuatorState()
 	rec := obs.Record{
 		Step:             step,
 		TimeS:            s.TimeS,
@@ -274,24 +216,24 @@ func recordInterval(tr *obs.Recorder, step int, s board.Sensors, b *board.Board,
 		ThreadsBig:       act.ThreadsBig,
 		LatencyNS:        latNS,
 	}
-	if inj != nil {
-		cur := inj.Stats()
-		rec.FaultDropped = cur.DroppedReadings - prevFaults.DroppedReadings
-		rec.FaultStale = cur.StaleReadings - prevFaults.StaleReadings
-		rec.FaultHeld = cur.HeldCommands - prevFaults.HeldCommands
-		rec.FaultSkewed = cur.SkewedCommands - prevFaults.SkewedCommands
-		rec.FaultForced = cur.ForcedThrottles - prevFaults.ForcedThrottles
-		*prevFaults = cur
+	if r.inj != nil {
+		cur, prev := r.inj.Stats(), &r.prevFaults
+		rec.FaultDropped = cur.DroppedReadings - prev.DroppedReadings
+		rec.FaultStale = cur.StaleReadings - prev.StaleReadings
+		rec.FaultHeld = cur.HeldCommands - prev.HeldCommands
+		rec.FaultSkewed = cur.SkewedCommands - prev.SkewedCommands
+		rec.FaultForced = cur.ForcedThrottles - prev.ForcedThrottles
+		*prev = cur
 	}
-	if hp != nil {
-		h := hp.controllerHealth()
+	if r.hp != nil {
+		h := r.hp.controllerHealth()
 		rec.CtlGuardbandStreak = h.GuardbandStreak
 		rec.CtlHeldSteps = h.HeldSteps
 		rec.CtlRailed = h.Railed
 		rec.CtlNonFinite = h.NonFinite
 	}
-	if fp != nil {
-		p := fp.flightProbe()
+	if r.fp != nil {
+		p := r.fp.flightProbe()
 		rec.SupState = p.State.String()
 		rec.SupTripped = p.Tripped
 		if p.Tripped {
@@ -307,7 +249,7 @@ func recordInterval(tr *obs.Recorder, step int, s board.Sensors, b *board.Board,
 		rec.DetThrottle = p.ThrottleCount
 		rec.DetCostRatio = p.CostRatio
 	}
-	tr.Add(rec)
+	r.trace.Add(rec)
 }
 
 // countRun folds one completed run into the metrics registry.
@@ -316,7 +258,20 @@ func countRun(m *obs.Registry, res *RunResult) {
 	if !res.Completed {
 		m.Counter("runs_incomplete_total").Add(1)
 	}
-	f := res.Faults
+	countFaults(m, res.Faults)
+	if sup := res.Supervisor; sup != nil {
+		m.Counter("supervised_runs_total").Add(1)
+		m.Counter("supervisor_trips_total").Add(int64(sup.Trips))
+		m.Counter("supervisor_fallback_steps_total").Add(int64(sup.FallbackSteps))
+		m.Counter("supervisor_recoveries_total").Add(int64(sup.Recoveries))
+		m.Counter("supervisor_frozen_steps_total").Add(int64(sup.FrozenSteps))
+		m.Counter("supervisor_distrust_steps_total").Add(int64(sup.DistrustSteps))
+	}
+}
+
+// countFaults folds one run's (or one fleet board's) injected faults into
+// the metrics registry.
+func countFaults(m *obs.Registry, f fault.Stats) {
 	if n := f.DroppedReadings + f.StaleReadings + f.HeldCommands +
 		f.SkewedCommands + f.ForcedThrottles; n > 0 {
 		m.Counter("faults_injected_total").Add(int64(n))
@@ -325,14 +280,6 @@ func countRun(m *obs.Registry, res *RunResult) {
 		m.Counter("faults_held_total").Add(int64(f.HeldCommands))
 		m.Counter("faults_skewed_total").Add(int64(f.SkewedCommands))
 		m.Counter("faults_forced_total").Add(int64(f.ForcedThrottles))
-	}
-	if sup := res.Supervisor; sup != nil {
-		m.Counter("supervised_runs_total").Add(1)
-		m.Counter("supervisor_trips_total").Add(int64(sup.Trips))
-		m.Counter("supervisor_fallback_steps_total").Add(int64(sup.FallbackSteps))
-		m.Counter("supervisor_recoveries_total").Add(int64(sup.Recoveries))
-		m.Counter("supervisor_frozen_steps_total").Add(int64(sup.FrozenSteps))
-		m.Counter("supervisor_distrust_steps_total").Add(int64(sup.DistrustSteps))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"yukta/internal/board"
+	"yukta/internal/obs"
+	"yukta/internal/series"
 	"yukta/internal/supervisor"
 	"yukta/internal/workload"
 )
@@ -13,7 +15,7 @@ import (
 // hosts many and advances each on request.
 //
 // Determinism survives hosting: a StepRun advanced in arbitrary chunk sizes
-// executes exactly the soloRun.step interval sequence the batch Run
+// executes exactly the boardRun.step interval sequence the batch Run
 // executes, so its RunResult scalars and attached obs.Recorder trace are
 // byte-identical to Run with the same options (gated by
 // TestStepRunMatchesBatch and the serve package's determinism test).
@@ -21,19 +23,60 @@ import (
 // A StepRun is not safe for concurrent use; like a controller session, it
 // belongs to one owner (the serve layer serializes access per session).
 type StepRun struct {
-	r    *soloRun
-	next int
+	r        boardRun
+	res      *RunResult
+	maxSteps int
+	next     int
 	// hook, when set, observes each interval Step executes (see SetStepHook).
 	hook func(step int)
+
+	metrics *obs.Registry
+	// counted latches Result's fold into metrics so a run is counted at
+	// most once, however many times its result is read.
+	counted bool
 }
 
 // NewStepRun builds an incrementally driven run from the same inputs as Run.
 func NewStepRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*StepRun, error) {
-	r, err := newSoloRun(cfg, sch, w, opt)
+	if opt.MaxTime <= 0 {
+		opt.MaxTime = DefaultMaxTime
+	}
+	if opt.Interval <= 0 {
+		opt.Interval = DefaultInterval
+	}
+	r, err := newBoardRun(cfg, sch, w, opt.Faults, "", 0, opt.Interval, opt.Trace, opt.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	return &StepRun{r: r}, nil
+	res := &RunResult{App: r.w.Name(), Scheme: sch.Name, IntervalS: opt.Interval.Seconds()}
+	if !opt.SkipSeries {
+		res.BigPower = series.New("big_power_w")
+		res.LittlePower = series.New("little_power_w")
+		res.Perf = series.New("bips")
+		res.Temp = series.New("temp_c")
+		res.BigFreq = series.New("big_freq_ghz")
+	}
+	return &StepRun{
+		r: r, res: res,
+		maxSteps: int(opt.MaxTime / opt.Interval),
+		metrics:  opt.Metrics,
+	}, nil
+}
+
+// interval executes the run's next control interval and appends it to the
+// series. Step and ReplayTo both advance through it.
+func (s *StepRun) interval() {
+	r, res := &s.r, s.res
+	r.step(s.next)
+	s.next++
+	if res.BigPower != nil {
+		t := r.sensors.TimeS
+		res.BigPower.Add(t, r.sensors.BigPowerW)
+		res.LittlePower.Add(t, r.sensors.LittlePowerW)
+		res.Perf.Add(t, r.sensors.BIPS)
+		res.Temp.Add(t, r.sensors.TempC)
+		res.BigFreq.Add(t, r.b.EffectiveBigFreq())
+	}
 }
 
 // Step advances the run by up to n control intervals, stopping early at
@@ -42,9 +85,8 @@ func NewStepRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOption
 // n <= 0).
 func (s *StepRun) Step(n int) int {
 	done := 0
-	for ; done < n && s.next < s.r.maxSteps && !s.r.w.Done(); done++ {
-		s.r.step(s.next)
-		s.next++
+	for ; done < n && !s.Done(); done++ {
+		s.interval()
 		if s.hook != nil {
 			s.hook(s.next - 1)
 		}
@@ -77,8 +119,7 @@ func (s *StepRun) ReplayTo(n int) error {
 		if s.Done() {
 			return fmt.Errorf("core: replay diverged: run finished at step %d before reaching logged step %d", s.next, n)
 		}
-		s.r.step(s.next)
-		s.next++
+		s.interval()
 	}
 	return nil
 }
@@ -88,11 +129,11 @@ func (s *StepRun) Steps() int { return s.next }
 
 // MaxSteps returns the step bound implied by RunOptions.MaxTime and the
 // control interval.
-func (s *StepRun) MaxSteps() int { return s.r.maxSteps }
+func (s *StepRun) MaxSteps() int { return s.maxSteps }
 
 // Done reports whether the run is finished: the workload completed or the
 // MaxTime step bound was reached.
-func (s *StepRun) Done() bool { return s.r.w.Done() || s.next >= s.r.maxSteps }
+func (s *StepRun) Done() bool { return s.r.w.Done() || s.next >= s.maxSteps }
 
 // Supervised reports whether the run's scheme carries the supervisory safety
 // layer (and therefore supports ForceTrip).
@@ -127,14 +168,27 @@ func (s *StepRun) SupervisorState() (supervisor.State, bool) {
 	return sp.supervisorState(), true
 }
 
-// Result finalizes and returns the run's measurements so far. It may be
-// called at any point — the serve layer reports it live while a session is
-// still being stepped — but the canonical read is after Done; only a Done
-// run folds into the attached metrics registry (once).
+// Result distills the run's measurements so far into its RunResult. It may
+// be called at any point — the serve layer reports it live while a session
+// is still being stepped — but the canonical read is after Done; only a
+// Done run folds into the attached metrics registry, and only once.
 func (s *StepRun) Result() *RunResult {
-	res := s.r.finalize()
-	if s.Done() {
-		s.r.countOnce()
+	r, res := &s.r, s.res
+	res.Completed = r.w.Done()
+	res.TimeS = r.b.TimeS()
+	res.EnergyJ = r.b.EnergyJ()
+	res.ExD = res.EnergyJ * res.TimeS
+	res.EmergencyEvents = r.sensors.EmergencyEvents
+	if r.inj != nil {
+		res.Faults = r.inj.Stats()
+	}
+	if sr, ok := r.sess.(SupervisorReporter); ok {
+		st := sr.SupervisorStats()
+		res.Supervisor = &st
+	}
+	if s.metrics != nil && !s.counted && s.Done() {
+		s.counted = true
+		countRun(s.metrics, res)
 	}
 	return res
 }

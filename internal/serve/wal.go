@@ -172,9 +172,19 @@ func decodeWALLine(line string) (walRecord, bool) {
 	if !ok || len(crcHex) != 8 {
 		return rec, false
 	}
+	// Accept only the eight lowercase hex digits encodeWALRecord writes, so
+	// no bit flip in the CRC field (say, one that upper-cases a digit) can
+	// still decode to the right checksum.
 	var want uint32
-	if _, err := fmt.Sscanf(crcHex, "%08x", &want); err != nil {
-		return rec, false
+	for _, c := range []byte(crcHex) {
+		switch {
+		case '0' <= c && c <= '9':
+			want = want<<4 | uint32(c-'0')
+		case 'a' <= c && c <= 'f':
+			want = want<<4 | uint32(c-'a'+10)
+		default:
+			return rec, false
+		}
 	}
 	if crc32.ChecksumIEEE([]byte(payload)) != want {
 		return rec, false

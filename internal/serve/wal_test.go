@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -190,13 +191,14 @@ func TestWALCompact(t *testing.T) {
 }
 
 // TestDecodeWALLineRejects enumerates malformed lines: missing CRC field,
-// short CRC, non-hex CRC, bad JSON, empty op.
+// short CRC, non-hex CRC, upper-cased CRC, bad JSON, empty op.
 func TestDecodeWALLineRejects(t *testing.T) {
 	for _, line := range []string{
 		"",
 		"{\"t\":\"step\"}",
 		"abcd {\"t\":\"step\"}",
 		"zzzzzzzz {\"t\":\"step\"}",
+		"D6A426C3 {\"t\":\"step\",\"n\":3,\"seq\":1}", // valid as d6a426c3
 		"00000000 {\"t\":\"step\"}",
 		"00000000 not-json",
 	} {
@@ -212,4 +214,82 @@ func TestDecodeWALLineRejects(t *testing.T) {
 	if _, ok := decodeWALLine(string(bytes.TrimSuffix(enc, []byte("\n")))); !ok {
 		t.Fatal("decodeWALLine rejected a healthy encoded record")
 	}
+}
+
+// FuzzWALDecode fuzzes the session-log codec. payloads holds one JSON
+// record per line; every line that parses into a record with an op kind
+// becomes a log record, so its strings are valid UTF-8 exactly as every
+// logged request's are (they arrive as JSON). Two properties:
+//
+//   - round trip: encoding a record, decoding the line and encoding the
+//     result gives the same bytes;
+//   - damage: flipping bit `bit` of log byte pos (or, with truncate,
+//     cutting the log at pos) makes readWAL return exactly the records
+//     wholly before the line holding that byte, with validLen their length.
+//
+// The seed corpus (testdata/fuzz/FuzzWALDecode) includes crc-case-flip: the
+// record {"t":"step","n":3,"seq":1}, CRC d6a426c3, with the 0x20 bit of the
+// CRC's first digit flipped to give "D6a426c3" — a decoder that scanned the
+// CRC with %x accepted it.
+func FuzzWALDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payloads []byte, pos uint, bit uint8, truncate bool) {
+		var log []byte
+		var recs []walRecord
+		var ends []int // ends[k] is the offset just past line k
+		for _, p := range bytes.Split(payloads, []byte("\n")) {
+			var rec walRecord
+			if json.Unmarshal(p, &rec) != nil || rec.T == "" {
+				continue
+			}
+			line, err := encodeWALRecord(rec)
+			if err != nil {
+				continue
+			}
+			dec, ok := decodeWALLine(string(line[:len(line)-1]))
+			if !ok {
+				t.Fatalf("decodeWALLine rejected its own encoding %q", line)
+			}
+			if again, err := encodeWALRecord(dec); err != nil || !bytes.Equal(again, line) {
+				t.Fatalf("re-encoding the decoded record gave %q (err %v), want %q", again, err, line)
+			}
+			recs = append(recs, dec)
+			log = append(log, line...)
+			ends = append(ends, len(log))
+		}
+		if len(log) == 0 {
+			return
+		}
+		i := int(pos % uint(len(log)))
+		damaged := bytes.Clone(log)
+		if truncate {
+			damaged = damaged[:i]
+		} else {
+			damaged[i] ^= 1 << (bit % 8)
+		}
+		k := 0
+		for ends[k] <= i {
+			k++
+		}
+		var wantLen int64
+		if k > 0 {
+			wantLen = int64(ends[k-1])
+		}
+		path := filepath.Join(t.TempDir(), "s.wal")
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, validLen, err := readWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if validLen != wantLen || len(got) != k {
+			t.Fatalf("damage at byte %d (line %d, truncate %v): readWAL kept %d records / %d bytes, want %d / %d",
+				i, k, truncate, len(got), validLen, k, wantLen)
+		}
+		for j := range got {
+			if !reflect.DeepEqual(got[j], recs[j]) {
+				t.Fatalf("record %d read back as %+v, want %+v", j, got[j], recs[j])
+			}
+		}
+	})
 }
